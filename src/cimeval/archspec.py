@@ -153,15 +153,18 @@ class ArchTree:
     """Document-ordered node list; the last node is the compute leaf."""
 
     nodes: tuple[ArchNode, ...]
+    #: node name -> position in ``nodes``
+    node_index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.nodes:
             raise ArchError("architecture has no nodes")
-        seen = set()
-        for node in self.nodes:
-            if node.name in seen:
+        node_index: dict[str, int] = {}
+        for i, node in enumerate(self.nodes):
+            if node.name in node_index:
                 raise ArchError(f"duplicate node name {node.name!r}")
-            seen.add(node.name)
+            node_index[node.name] = i
+        object.__setattr__(self, "node_index", node_index)
 
     def __iter__(self):
         return iter(self.nodes)
@@ -174,16 +177,10 @@ class ArchTree:
         return self.nodes[-1]
 
     def node(self, name: str) -> ArchNode:
-        for n in self.nodes:
-            if n.name == name:
-                return n
-        raise KeyError(name)
+        return self.nodes[self.node_index[name]]
 
     def index(self, name: str) -> int:
-        for i, n in enumerate(self.nodes):
-            if n.name == name:
-                return i
-        raise KeyError(name)
+        return self.node_index[name]
 
     def components(self) -> tuple[ArchNode, ...]:
         return tuple(n for n in self.nodes if n.kind == "component")
@@ -314,14 +311,14 @@ def parse_arch(text: str) -> ArchTree:
                 "architecture documents must be tagged !Component or !Container "
                 "(or a 'defaults' mapping)"
             )
-    tree = ArchTree(nodes=tuple(nodes))
-    if defaults:
-        tree = resolve_attributes(tree, defaults)
-    return tree
+    return resolve_attributes(ArchTree(nodes=tuple(nodes)), defaults)
 
 
 def resolve_attributes(tree: ArchTree, defaults: dict) -> ArchTree:
-    """Merge attribute defaults into every node; node-local values win."""
+    """Merge attribute defaults into every node; node-local values win.
+
+    Every merged attribute named in NUMERIC_ATTRS must be a number.
+    """
     new_nodes = []
     for node in tree.nodes:
         merged = {**defaults, **node.attributes}

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .valuemodel import (
@@ -48,7 +49,11 @@ class ActionContext:
 
     slices[role] holds the encoded PMF of each bit slice (LSB-first);
     companions[role] holds the matching second-line slices for differential
-    encoding (or the sign PMF for magnitude-only, as a single entry).
+    encoding (or the sign PMF for magnitude-only, as a single entry).  Both
+    are read-only mappings.  The engine fills them lazily: a role is
+    encoded and sliced the first time a model reads it, so statistics no
+    model reads are never built.  Their key sets are fixed when the context
+    is made, so testing ``role in ctx.slices`` builds nothing.
     """
 
     layer: str
@@ -57,8 +62,8 @@ class ActionContext:
     bits: dict[str, int] = field(default_factory=dict)
     encodings: dict[str, Encoding] = field(default_factory=dict)
     schemes: dict[str, SliceScheme] = field(default_factory=dict)
-    slices: dict[str, tuple[ValuePMF, ...]] = field(default_factory=dict)
-    companions: dict[str, tuple[ValuePMF, ...]] = field(default_factory=dict)
+    slices: Mapping[str, tuple[ValuePMF, ...]] = field(default_factory=dict)
+    companions: Mapping[str, tuple[ValuePMF, ...]] = field(default_factory=dict)
 
     def attr(self, key: str, default=None):
         value = self.attributes.get(key, default)

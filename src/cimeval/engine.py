@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+from collections import abc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -51,7 +52,14 @@ from .mapping import (
     build_count_plan,
     check_valid,
 )
-from .valuemodel import Encoding, EncodedPMF, SliceScheme, encode_pmf, slice_pmf
+from .valuemodel import (
+    COMPANION_ENCODINGS,
+    Encoding,
+    EncodedPMF,
+    SliceScheme,
+    encode_pmf,
+    slice_pmf,
+)
 from .workload import ROLES, WorkloadLayer, mac_count
 
 DEFAULT_CLOCK_PERIOD = 1e-9
@@ -80,42 +88,79 @@ def _slice_scheme(bits: int, width) -> SliceScheme:
     return SliceScheme(tuple(widths))
 
 
+class _LazyRoleMap(abc.Mapping):
+    """Read-only role mapping whose values are built on first access.
+
+    The key set is fixed up front, so membership tests and iteration never
+    build anything; each value is built once by ``build(role)``.
+    """
+
+    def __init__(self, roles, build):
+        self._roles = tuple(roles)
+        self._build = build
+        self._built: dict = {}
+
+    def __getitem__(self, role: str):
+        if role not in self._roles:
+            raise KeyError(role)
+        if role not in self._built:
+            self._built[role] = self._build(role)
+        return self._built[role]
+
+    def __contains__(self, role) -> bool:
+        return role in self._roles
+
+    def __iter__(self):
+        return iter(self._roles)
+
+    def __len__(self) -> int:
+        return len(self._roles)
+
+
 def build_action_context(node, layer: WorkloadLayer) -> ActionContext:
     """Resolve the encoded, sliced operand statistics one node sees.
 
     Encodings and slice widths are datapath properties, so they come from
     node attributes (input_encoding, weight_slice_width, ...); bit widths
-    come from the layer.  A role with no declared PMF and more than
-    _DEFAULT_PMF_BITS_CAP bits gets no sliced statistics; a model that
-    prices on such a role reports the missing distribution.
+    come from the layer.  The sliced statistics are built the first time a
+    model reads them: ``slices`` and ``companions`` are read-only mappings
+    that encode and slice a role on its first access, sharing one encoded
+    PMF between a role's slices and its companion, so a role no model reads
+    costs nothing.  A role with no declared PMF and more than
+    _DEFAULT_PMF_BITS_CAP bits has no entry; a model that prices on such a
+    role reports the missing distribution.
     """
     attrs = node.attributes
     bits: dict[str, int] = {}
     encodings: dict[str, Encoding] = {}
     schemes: dict[str, SliceScheme] = {}
-    slices: dict[str, tuple] = {}
-    companions: dict[str, tuple] = {}
     for role in ROLES:
         key = _ROLE_ATTR[role]
         b = layer.bits[role]
-        kind = str(attrs.get(f"{key}_encoding", "twos_complement"))
-        enc = Encoding(kind, b)
-        scheme = _slice_scheme(b, attrs.get(f"{key}_slice_width"))
         bits[role] = b
-        encodings[role] = enc
-        schemes[role] = scheme
-        if role not in layer.pmfs and b > _DEFAULT_PMF_BITS_CAP:
-            continue
-        encoded = encode_pmf(layer.pmf_for(role), enc)
-        slices[role] = tuple(slice_pmf(encoded, scheme))
-        if encoded.companion is not None:
-            if kind == "differential":
-                comp = EncodedPMF(
-                    kind, b, encoded.companion.support, encoded.companion.probs
-                )
-                companions[role] = tuple(slice_pmf(comp, scheme))
-            else:
-                companions[role] = (encoded.companion,)
+        kind = str(attrs.get(f"{key}_encoding", "twos_complement"))
+        encodings[role] = Encoding(kind, b)
+        schemes[role] = _slice_scheme(b, attrs.get(f"{key}_slice_width"))
+    present = [
+        r for r in ROLES if r in layer.pmfs or bits[r] <= _DEFAULT_PMF_BITS_CAP
+    ]
+    # one encoded PMF per role, shared by its slices and its companion
+    encoded = _LazyRoleMap(
+        present, lambda role: encode_pmf(layer.pmf_for(role), encodings[role])
+    )
+
+    def role_slices(role: str) -> tuple:
+        return tuple(slice_pmf(encoded[role], schemes[role]))
+
+    def role_companions(role: str) -> tuple:
+        enc = encoded[role]
+        if enc.kind == "differential":
+            comp = EncodedPMF(
+                enc.kind, enc.bits, enc.companion.support, enc.companion.probs
+            )
+            return tuple(slice_pmf(comp, schemes[role]))
+        return (enc.companion,)
+
     return ActionContext(
         layer=layer.name,
         node=node.name,
@@ -123,8 +168,11 @@ def build_action_context(node, layer: WorkloadLayer) -> ActionContext:
         bits=bits,
         encodings=encodings,
         schemes=schemes,
-        slices=slices,
-        companions=companions,
+        slices=_LazyRoleMap(present, role_slices),
+        companions=_LazyRoleMap(
+            [r for r in present if encodings[r].kind in COMPANION_ENCODINGS],
+            role_companions,
+        ),
     )
 
 
@@ -216,11 +264,13 @@ class EvalResult:
 
 
 class _FastState:
-    """Vectorized per-mapping evaluation state.
+    """Per-mapping evaluation state.
 
-    Every count is a product of bounds over a fixed slot subset; the subsets
-    are stacked into one boolean matrix so a mapping evaluates with a single
-    masked product plus a dot with the per-action unit energies.
+    Every count is a product of bounds over a fixed slot subset; each
+    distinct subset is multiplied out once per mapping in Python ints, and
+    the counts then meet the per-action unit energies in one float64 dot.
+    Products below 2^53 convert to float exactly, so the objective is the
+    same as a float product of the bounds.
     """
 
     def __init__(self, plan: CountPlan, table: EnergyTable, clock: float):
@@ -231,42 +281,39 @@ class _FastState:
                 subsets[ids] = len(subsets)
             return subsets[ids]
 
-        a_ids, b_ids, units = [], [], []
+        terms, units = [], []
         for e in plan.entries:
-            a_ids.append(sub_id(e.idx_a))
-            b_ids.append(sub_id(e.idx_b) if e.mode == "diff" else -1)
+            b = sub_id(e.idx_b) if e.mode == "diff" else None
+            terms.append((sub_id(e.idx_a), b))
             units.append(table.unit(e.node, e.action))
         self.cycles_sub = sub_id(plan.temporal_idx)
-        self.util_sub = sub_id(plan.spatial_idx)
-        n_slots = 1 + max((max(ids) for ids in subsets if ids), default=0)
-        mask = np.zeros((len(subsets), n_slots), dtype=bool)
-        for ids, k in subsets.items():
-            for i in ids:
-                mask[k, i] = True
-        self.mask = mask
-        self.n_slots = n_slots
-        self.a = np.array(a_ids, dtype=np.int64)
-        self.b = np.array(b_ids, dtype=np.int64)
-        self.has_b = self.b >= 0
+        self.subsets = tuple(subsets)
+        self.n_slots = 1 + max((max(ids) for ids in subsets if ids), default=0)
+        self.terms = tuple(terms)
         self.units = np.array(units, dtype=np.float64)
         self.clock = clock
-        self.capacity = plan.mesh_capacity
 
-    def _products(self, bounds) -> np.ndarray:
-        b = np.asarray(bounds, dtype=np.float64)
-        if b.shape[0] < self.n_slots:
+    def _products(self, bounds) -> list[int]:
+        if len(bounds) < self.n_slots:
             raise EngineError("bounds vector shorter than the slot table")
-        return np.where(self.mask, b[: self.n_slots][None, :], 1.0).prod(axis=1)
+        out = []
+        for ids in self.subsets:
+            p = 1
+            for i in ids:
+                p *= bounds[i]
+            out.append(p)
+        return out
+
+    def _energy(self, p: list[int]) -> float:
+        counts = [p[a] if b is None else p[a] - p[b] for a, b in self.terms]
+        return float(np.array(counts, dtype=np.float64) @ self.units)
 
     def energy(self, bounds) -> float:
-        p = self._products(bounds)
-        counts = p[self.a] - np.where(self.has_b, p[self.b], 0.0)
-        return float(counts @ self.units)
+        return self._energy(self._products(bounds))
 
     def objective_value(self, bounds, objective: str) -> float:
         p = self._products(bounds)
-        counts = p[self.a] - np.where(self.has_b, p[self.b], 0.0)
-        energy = float(counts @ self.units)
+        energy = self._energy(p)
         if objective == "energy":
             return energy
         latency = p[self.cycles_sub] * self.clock

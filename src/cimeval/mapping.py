@@ -115,6 +115,11 @@ class SlotTable:
         self.slots = tuple(slots)
         self.index = {s: i for i, s in enumerate(self.slots)}
         self._node_names = tuple(n.name for n in arch.nodes)
+        # (node name, kind, dim) -> slot id, the lookup a mapping loop needs
+        self._slot_of = {
+            (self._node_names[s.node], s.kind, s.dim): i
+            for i, s in enumerate(self.slots)
+        }
 
     def __len__(self) -> int:
         return len(self.slots)
@@ -130,19 +135,21 @@ class SlotTable:
 
     def bounds_from_mapping(self, mapping: Mapping) -> list[int]:
         bounds = [1] * len(self.slots)
-        names = self._node_names
-        dim_names = {d for d, _ in self.dims}
+        slot_of = self._slot_of
         for node_name, loops in mapping.loops:
-            if node_name not in names:
+            if node_name not in self.arch.node_index:
                 raise MappingError(f"mapping names unknown node {node_name!r}")
-            ni = names.index(node_name)
             for loop in loops:
-                if loop.dim not in dim_names:
+                sid = slot_of.get((node_name, loop.kind, loop.dim))
+                if sid is None:
+                    if all(loop.dim != d for d, _ in self.dims):
+                        raise MappingError(
+                            f"mapping loop over unknown dim {loop.dim!r} "
+                            f"at node {node_name!r}"
+                        )
                     raise MappingError(
-                        f"mapping loop over unknown dim {loop.dim!r} "
-                        f"at node {node_name!r}"
+                        f"no loop slot for kind {loop.kind!r} at node {node_name!r}"
                     )
-                sid = self.slot_id(ni, loop.kind, loop.dim)
                 bounds[sid] *= loop.bound
         return bounds
 
@@ -392,7 +399,7 @@ def check_valid(
     nodes = arch.nodes
     leaf_i = len(nodes) - 1
     for node_name, loops in mapping.loops:
-        ni = table._node_names.index(node_name)
+        ni = arch.index(node_name)
         node = nodes[ni]
         spatial_ok = node.kind == "container" or ni == leaf_i
         for loop in loops:
@@ -521,16 +528,41 @@ def analyze_access_counts(
     return plan.counts(table.bounds_from_mapping(mapping))
 
 
-def _factorizations(n: int, k: int) -> list[tuple[int, ...]]:
-    """All ordered k-tuples of positive ints whose product is n."""
+def _factorizations(
+    n: int,
+    k: int,
+    caps: tuple[int | None, ...] | None = None,
+    memo: dict | None = None,
+) -> list[tuple[int, ...]]:
+    """All ordered k-tuples of positive ints whose product is n.
+
+    Tuples come in ascending lexicographic order.  caps[j], when not None,
+    bounds entry j; capped-out divisors are pruned inside the recursion, so
+    the result is the uncapped list filtered by the caps, in the same order.
+    memo caches suffix results across calls that share it; the returned
+    lists may be shared with it and must not be mutated.
+    """
+    if caps is None:
+        caps = (None,) * k
+    if memo is None:
+        memo = {}
+    key = (n, caps)
+    out = memo.get(key)
+    if out is not None:
+        return out
     if k == 0:
-        return [()] if n == 1 else []
-    if k == 1:
-        return [(n,)]
-    out = []
-    for d in sorted(_divisors(n)):
-        for rest in _factorizations(n // d, k - 1):
-            out.append((d,) + rest)
+        out = [()] if n == 1 else []
+    elif k == 1:
+        out = [(n,)] if caps[0] is None or n <= caps[0] else []
+    else:
+        cap, rest_caps = caps[0], caps[1:]
+        out = []
+        for d in sorted(_divisors(n)):
+            if cap is not None and d > cap:
+                break
+            for rest in _factorizations(n // d, k - 1, rest_caps, memo):
+                out.append((d,) + rest)
+    memo[key] = out
     return out
 
 
@@ -549,9 +581,10 @@ def _divisors(n: int) -> list[int]:
 class MappingSpace:
     """Indexable space of exact-tiling mappings for one (arch, layer) pair.
 
-    For each dim the full factorizations of its size across the eligible
-    slots are tabulated (spatial slots capped at their mesh axis, max_tile
-    caps applied per dim); a mapping index is a mixed-radix number over the
+    For each dim the factorizations of its size across the eligible slots
+    are tabulated (spatial slots capped at their mesh axis while the
+    factorizations are generated, max_tile caps applied per dim); a mapping
+    index is a mixed-radix number over the
     per-dim tables, so the space supports exhaustive iteration and seeded
     uniform sampling without replacement.
     """
@@ -580,6 +613,9 @@ class MappingSpace:
 
         self.dim_slots: dict[str, list[int]] = {}
         self.dim_choices: dict[str, list[tuple[int, ...]]] = {}
+        # one table for this build: dims with equal sizes and slot caps
+        # (M and K of a square matvec) share their factorizations
+        memo: dict = {}
         for dim, size in self.table.dims:
             slot_ids = []
             caps = []
@@ -605,9 +641,7 @@ class MappingSpace:
                 )
                 tile_windows.append((pos, int(t_cap)))
             choices = []
-            for fac in _factorizations(size, len(slot_ids)):
-                if not all(c is None or b <= c for b, c in zip(fac, caps)):
-                    continue
+            for fac in _factorizations(size, len(slot_ids), tuple(caps), memo):
                 if any(
                     math.prod(fac[j] for j in pos) > t_cap
                     for pos, t_cap in tile_windows

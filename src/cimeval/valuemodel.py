@@ -23,6 +23,9 @@ ENCODINGS = (
     "differential",
 )
 
+# Encodings whose EncodedPMF carries a companion line.
+COMPANION_ENCODINGS = ("differential", "magnitude_only")
+
 
 class ValueModelError(ValueError):
     """Unrepresentable value, bad slice scheme or inconsistent map."""
@@ -80,9 +83,6 @@ class EncodedPMF:
     support: tuple[int, ...]
     probs: tuple[float, ...]
     companion: ValuePMF | None = None
-
-    def as_pmf(self) -> ValuePMF:
-        return ValuePMF(self.support, self.probs)
 
 
 def _signed_range(bits: int) -> tuple[int, int]:
@@ -145,7 +145,7 @@ def encode_pmf(pmf: ValuePMF, enc: Encoding) -> EncodedPMF:
     pairs = [(encode_value(v, enc), p) for v, p in zip(pmf.support, pmf.probs)]
     support, probs = _merge(pairs)
     companion = None
-    if enc.kind in ("differential", "magnitude_only"):
+    if enc.kind in COMPANION_ENCODINGS:
         cpairs = [(encode_value_companion(v, enc), p) for v, p in zip(pmf.support, pmf.probs)]
         csupport, cprobs = _merge(cpairs)
         companion = ValuePMF(csupport, cprobs)

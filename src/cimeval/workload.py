@@ -277,6 +277,15 @@ def _pmf_from_table(params) -> ValuePMF:
     )
 
 
+def _as_int(layer: str, what: str, value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise WorkloadError(
+            f"layer {layer!r}: {what} must be an integer, got {value!r}"
+        ) from None
+
+
 def parse_workload(text: str, base_dir: str | Path | None = None) -> list[WorkloadLayer]:
     """Parse a workload YAML document into layers.
 
@@ -312,14 +321,20 @@ def parse_workload(text: str, base_dir: str | Path | None = None) -> list[Worklo
             raise WorkloadError(f"layer {name!r}: missing key {exc.args[0]!r}") from exc
         if not isinstance(dims_raw, dict) or not dims_raw:
             raise WorkloadError(f"layer {name!r}: 'dims' must be a non-empty mapping")
-        dims = tuple((str(d), int(s)) for d, s in dims_raw.items())
+        dims = tuple(
+            (str(d), _as_int(name, f"size of dim {d!r}", s)) for d, s in dims_raw.items()
+        )
         tensors = {}
         if not isinstance(proj_raw, dict):
             raise WorkloadError(f"layer {name!r}: 'projections' must be a mapping")
         for role, proj in proj_raw.items():
             tensors[str(role)] = tuple(str(d) for d in (proj or ()))
         einsum = EinsumSpec(dims=dims, tensors=tensors)
-        bits = {str(r): int(b) for r, b in bits_raw.items()}
+        if not isinstance(bits_raw, dict):
+            raise WorkloadError(f"layer {name!r}: 'bits' must map tensors to widths")
+        bits = {
+            str(r): _as_int(name, f"bit width of {r!r}", b) for r, b in bits_raw.items()
+        }
         pmfs = {}
         for role, spec in (raw.get("pmf") or {}).items():
             pmfs[str(role)] = _parse_pmf_spec(spec, base)

@@ -160,6 +160,35 @@ def test_broken_architecture_exits_two(tmp_path, capsys):
     assert "innermost" in out
 
 
+@pytest.mark.parametrize(
+    "fixture, old, new",
+    [
+        ("arch_crossbar.yaml", "t_read: 10.0e-9", "t_read: fast"),
+        ("workload_tiny.yaml", "dims: {M: 2, K: 2}", "dims: {M: two, K: 2}"),
+    ],
+    ids=["non_numeric_attribute", "non_integer_dim"],
+)
+def test_malformed_numbers_exit_two(tmp_path, capsys, fixture, old, new):
+    text = read_fixture(fixture)
+    assert old in text
+    bad = tmp_path / fixture
+    bad.write_text(text.replace(old, new))
+    inputs = {"arch_crossbar.yaml": ARCH, "workload_tiny.yaml": WORKLOAD}
+    inputs[fixture] = str(bad)
+    rc = main(
+        [
+            "evaluate",
+            "--arch", inputs["arch_crossbar.yaml"],
+            "--workload", inputs["workload_tiny.yaml"],
+            "--mapping", MAPPING,
+        ]
+    )
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_validate_happy_paths(capsys):
     assert main(["validate", "--arch", ARCH]) == 0
     assert capsys.readouterr().out == "ok\n"

@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
+from cimeval import engine
 from cimeval.archspec import parse_arch
-from cimeval.components import ComponentError, DacModel, ModelRegistry, get_model
+from cimeval.components import (
+    AdcModel,
+    ComponentError,
+    DacModel,
+    ModelRegistry,
+    get_model,
+)
 from cimeval.engine import (
     EngineError,
     LayerEvaluator,
@@ -24,6 +31,7 @@ from cimeval.mapping import (
     enumerate_mappings,
     parse_mapping,
 )
+from cimeval.valuemodel import Encoding, SliceScheme, encode_pmf, slice_pmf
 from cimeval.workload import parse_workload
 
 from conftest import read_fixture
@@ -338,3 +346,70 @@ def test_plugin_model_changes_the_price(crossbar_arch, tiny_layer, tiny_mapping)
     assert res.energy_j == pytest.approx(
         CROSSBAR_TOTAL_J - 2 * DAC_CONVERT_J + 2 * 1e-12, rel=1e-12
     )
+
+
+# fc: 16-bit Outputs with no declared PMF; conv3x3: 24-bit undeclared Outputs
+_CONV_LAYERS = {l.name: l for l in parse_workload(read_fixture("workload_conv.yaml"))}
+
+
+class _OutputsProbe(AdcModel):
+    """ADC that reads the Outputs slices before pricing a conversion."""
+
+    def __init__(self):
+        self.seen = []
+
+    def energy_per_action(self, action, ctx):
+        self.seen.append(ctx.role_slices("Outputs"))
+        return super().energy_per_action(action, ctx)
+
+
+def _probe_registry(probe):
+    reg = ModelRegistry()
+    for name in ("buffer", "adder", "dac", "reram_cell"):
+        reg.register(name, get_model(name))
+    reg.register("adc", probe)
+    return reg
+
+
+def test_undeclared_outputs_are_never_encoded(crossbar_arch, monkeypatch):
+    layer = _CONV_LAYERS["fc"]
+    encoded_bits = []
+    real_encode = engine.encode_pmf
+
+    def counting_encode(pmf, enc):
+        encoded_bits.append(enc.bits)
+        return real_encode(pmf, enc)
+
+    monkeypatch.setattr(engine, "encode_pmf", counting_encode)
+    LayerEvaluator(crossbar_arch, layer)
+    assert encoded_bits and layer.bits["Outputs"] not in encoded_bits
+    ctx = build_action_context(crossbar_arch.node("adc"), layer)
+    assert "Outputs" in ctx.slices and "Outputs" not in ctx.companions
+    # membership tests build nothing
+    assert layer.bits["Outputs"] not in encoded_bits
+
+
+def test_plugin_reading_outputs_gets_the_sliced_default():
+    arch = parse_arch(
+        read_fixture("arch_crossbar.yaml").replace(
+            "resolution: 8",
+            "resolution: 8\n  output_encoding: offset\n  output_slice_width: 4",
+        )
+    )
+    layer = _CONV_LAYERS["fc"]
+    probe = _OutputsProbe()
+    LayerEvaluator(arch, layer, _probe_registry(probe))
+    expected = tuple(
+        slice_pmf(
+            encode_pmf(layer.pmf_for("Outputs"), Encoding("offset", 16)),
+            SliceScheme((4, 4, 4, 4)),
+        )
+    )
+    assert probe.seen == [expected]
+
+
+def test_plugin_reading_wide_undeclared_outputs_fails(crossbar_arch):
+    with pytest.raises(ComponentError, match="no Outputs distribution"):
+        LayerEvaluator(
+            crossbar_arch, _CONV_LAYERS["conv3x3"], _probe_registry(_OutputsProbe())
+        )

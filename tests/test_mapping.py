@@ -6,6 +6,8 @@ test_engine and test_acceptance.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cimeval.archspec import parse_arch
 from cimeval.mapping import (
@@ -327,6 +329,24 @@ def test_factorizations_exhaustive():
     assert all(a * b * c == 8 for a, b, c in fs)
     assert len(set(fs)) == len(fs)
     assert _factorizations(1, 4) == [(1, 1, 1, 1)]
+
+
+@given(
+    st.integers(1, 4096),
+    st.lists(st.one_of(st.none(), st.integers(1, 128)), max_size=5),
+    st.lists(st.one_of(st.none(), st.integers(1, 128)), max_size=5),
+)
+@settings(max_examples=200, deadline=None)
+def test_capped_factorizations_filter_the_uncapped_list(n, caps, other_caps):
+    # one memo serves both cap vectors, as it serves every dim of a space
+    memo = {}
+    for cs in (caps, other_caps, caps):
+        expected = [
+            fac
+            for fac in _factorizations(n, len(cs))
+            if all(c is None or b <= c for b, c in zip(fac, cs))
+        ]
+        assert _factorizations(n, len(cs), tuple(cs), memo) == expected
 
 
 def test_mapping_space_tiny_census(crossbar_arch, tiny_layer):
