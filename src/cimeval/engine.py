@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import operator
 from collections import abc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -500,7 +501,13 @@ class OracleResult:
 
 
 class _CountStage:
-    __slots__ = ("node", "tensor", "action", "pos", "pricer", "seen", "parts", "unit")
+    """Distinct access events of one (node, tensor, action).
+
+    A priced stage also tallies the operand value of each event, so that
+    every distinct value is priced once after the walk.
+    """
+
+    __slots__ = ("node", "tensor", "action", "pos", "pricer", "seen", "values", "unit")
 
     def __init__(self, node, tensor, action, pos, pricer, unit):
         self.node = node
@@ -510,7 +517,27 @@ class _CountStage:
         self.pricer = pricer
         self.unit = unit
         self.seen = set()
-        self.parts = []
+        self.values: dict = {}
+
+
+def _key_getter(pos: tuple[int, ...]):
+    """Key of a nest point over positions `pos`; () when `pos` is empty."""
+    if not pos:
+        return lambda idx: ()
+    return operator.itemgetter(*pos)
+
+
+def _fsum_tally(tally: dict, price) -> float:
+    """Exactly rounded sum of price(v) over the multiset {v: count}.
+
+    fsum rounds the exact sum once, so pricing each distinct value once
+    gives the same float as pricing every event in walk order.
+    """
+    return math.fsum(
+        itertools.chain.from_iterable(
+            itertools.repeat(price(v), c) for v, c in tally.items()
+        )
+    )
 
 
 class _PairStage:
@@ -556,7 +583,8 @@ def oracle_evaluate(
     component can distinguish (sibling multicast and wired reduction drop
     the collapsed mesh coordinates, tile refills drop the coordinates that
     iterate inside one tile).  Value-dependent components are priced per
-    event from concrete drawn tensor values.
+    event from concrete drawn tensor values; each distinct value is priced
+    once and weighted by its number of events.
     """
     registry = registry or DEFAULT_REGISTRY
     diag = check_valid(arch, layer, mapping)
@@ -592,16 +620,37 @@ def oracle_evaluate(
     def unit_energy(node_name: str, action: str) -> float:
         return float(models[node_name].energy_per_action(action, contexts[node_name]))
 
-    # concrete operand values, flattened with per-role strides
     tensors = draw_tensors(layer, seed)
-    flat_vals = {r: [int(v) for v in np.ravel(tensors[r])] for r in tensors}
     role_dims = {r: layer.einsum.projection(r) for r in ROLES}
     sizes = layer.einsum.dim_sizes
 
-    # per-dim coordinate folding: [(nest position, bound), ...] outer first
-    dim_folds: dict[str, list[tuple[int, int]]] = {d: [] for d in sizes}
-    for sid in nest_ids:
-        dim_folds[slots[sid].dim].append((pos_of[sid], bounds[sid]))
+    # a dim's coordinate folds its nest positions outer first, so position
+    # p contributes idx[p] times the product of the later bounds of its dim
+    fold_step: dict[int, int] = {}
+    for dim in sizes:
+        step = 1
+        for sid in reversed(nest_ids):
+            if slots[sid].dim == dim:
+                fold_step[pos_of[sid]] = step
+                step *= bounds[sid]
+
+    def point_values(role: str) -> np.ndarray:
+        """The role's operand value at every nest point, in walk order.
+
+        A tensor's flat index is linear in the nest coordinates, so it is
+        built by one outer sum per position, last position fastest, as
+        itertools.product walks the nest.
+        """
+        dim_stride, acc = {}, 1
+        for d in reversed(role_dims[role]):
+            dim_stride[d] = acc
+            acc *= sizes[d]
+        flat = np.zeros(1, dtype=np.int64)
+        for p, sid in enumerate(nest_ids):
+            step = fold_step[p] * dim_stride.get(slots[sid].dim, 0)
+            flat = np.add.outer(flat, np.arange(bounds[sid], dtype=np.int64) * step)
+            flat = flat.ravel()
+        return np.ravel(tensors[role])[flat]
 
     count_stages: list[_CountStage] = []
     pair_stages: list[_PairStage] = []
@@ -724,54 +773,43 @@ def oracle_evaluate(
     leaf_ctx = contexts[leaf.name]
     leaf_per_value = bool(leaf_model.value_dependent_on)
     leaf_unit = unit_energy(leaf.name, "compute")
-    compute_parts: list[float] = []
     temporal_pos = tuple(
         pos_of[sid] for sid in nest_ids if slots[sid].kind == TEMPORAL
     )
+    cycle_key = _key_getter(temporal_pos)
     seen_cycles: set = set()
 
-    in_dims = role_dims["Inputs"]
-    w_dims = role_dims["Weights"]
-    in_vals = flat_vals["Inputs"]
-    w_vals = flat_vals["Weights"]
+    in_at = point_values("Inputs")
+    w_at = point_values("Weights")
+    # every point computes, so the leaf prices each distinct operand pair
+    # once, weighted by how many points carry it
+    compute_tally: dict[tuple[int, int], int] = {}
+    if leaf_per_value:
+        pairs, reps = np.unique(np.stack([in_at, w_at]), axis=1, return_counts=True)
+        compute_tally = dict(zip(zip(*pairs.tolist()), reps.tolist()))
 
-    def flat_index(dims_list, coords) -> int:
-        f = 0
-        for d in dims_list:
-            f = f * sizes[d] + coords[d]
-        return f
-
-    coords: dict[str, int] = {}
-    for idx in itertools.product(*ranges):
-        for d, folds in dim_folds.items():
-            c = 0
-            for p, b in folds:
-                c = c * b + idx[p]
-            coords[d] = c
-        vi = in_vals[flat_index(in_dims, coords)]
-        vw = w_vals[flat_index(w_dims, coords)]
-        point_vals = {"Inputs": vi, "Weights": vw}
-
-        if leaf_per_value:
-            compute_parts.append(
-                leaf_model.oracle_energy("compute", leaf_ctx, point_vals)
-            )
-        seen_cycles.add(tuple(idx[p] for p in temporal_pos))
-
-        for st in count_stages:
-            key = tuple(idx[p] for p in st.pos)
+    count_walk = [
+        (st, _key_getter(st.pos), {"Inputs": 0, "Weights": 1}.get(st.tensor))
+        for st in count_stages
+    ]
+    pair_walk = [
+        (st, _key_getter(st.pos_in), _key_getter(st.pos_w)) for st in pair_stages
+    ]
+    for idx, vals in zip(itertools.product(*ranges), zip(in_at.tolist(), w_at.tolist())):
+        seen_cycles.add(cycle_key(idx))
+        for st, key_of, operand in count_walk:
+            key = key_of(idx)
             if key not in st.seen:
                 st.seen.add(key)
                 if st.pricer is not None:
-                    model, ctx, role = st.pricer
-                    vals = {role: point_vals[role]} if role in point_vals else {}
-                    st.parts.append(model.oracle_energy(st.action, ctx, vals))
-        for st in pair_stages:
-            k = tuple(idx[p] for p in st.pos_in)
+                    v = None if operand is None else vals[operand]
+                    st.values[v] = st.values.get(v, 0) + 1
+        for st, in_key, w_key in pair_walk:
+            k = in_key(idx)
             if k in st.seen_in:
                 continue
             st.seen_in.add(k)
-            kw = tuple(idx[p] for p in st.pos_w)
+            kw = w_key(idx)
             if kw in st.seen_w:
                 st.updates += 1
             else:
@@ -783,14 +821,29 @@ def oracle_evaluate(
     }
     energy_terms: list[float] = []
     if leaf_per_value:
-        energy_terms.append(math.fsum(compute_parts))
+        energy_terms.append(
+            _fsum_tally(
+                compute_tally,
+                lambda iw: leaf_model.oracle_energy(
+                    "compute", leaf_ctx, {"Inputs": iw[0], "Weights": iw[1]}
+                ),
+            )
+        )
     else:
         energy_terms.append(n_points * leaf_unit)
     for st in count_stages:
         key = (st.node, st.tensor, st.action)
         counts[key] = counts.get(key, 0) + len(st.seen)
         if st.pricer is not None:
-            energy_terms.append(math.fsum(st.parts))
+            model, ctx, role = st.pricer
+            energy_terms.append(
+                _fsum_tally(
+                    st.values,
+                    lambda v: model.oracle_energy(
+                        st.action, ctx, {} if v is None else {role: v}
+                    ),
+                )
+            )
         else:
             energy_terms.append(len(st.seen) * st.unit)
     for st in pair_stages:

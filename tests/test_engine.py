@@ -1,5 +1,7 @@
 """Energy tables, full evaluation, search and the brute-force oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -271,6 +273,69 @@ def test_oracle_rejects_inexact_nests(crossbar_arch, tiny_layer):
 def test_oracle_point_limit(crossbar_arch, tiny_layer, tiny_mapping):
     with pytest.raises(EngineError, match="oracle limit"):
         oracle_evaluate(crossbar_arch, tiny_layer, tiny_mapping, point_limit=2)
+
+
+# only the cell costs energy, so the oracle's total is its compute term
+FREE_BUFFER_CELL = """
+--- !Component
+name: buffer
+class: buffer
+temporal_reuse: [Inputs, Outputs]
+attributes: {e_per_bit: 0.0, width: 8}
+--- !Component
+name: cell
+class: reram_cell
+temporal_reuse: [Weights]
+spatial: {meshX: 2, meshY: 2}
+spatial_reuse: [Inputs, Outputs]
+attributes: {t_read: 1.0e-9, g_max: 1.0e-6}
+"""
+SPREAD_LAYER = """
+layers:
+  - name: spread
+    dims: {M: 4, K: 6, N: 3}
+    projections: {Inputs: [K, N], Weights: [K, M], Outputs: [M, N]}
+    bits: {Inputs: 8, Weights: 8, Outputs: 24}
+    pmf: {Inputs: {uniform: [0, 255]}, Weights: {uniform: [-128, 127]}}
+    signed: {Inputs: false}
+"""
+
+
+def test_oracle_prices_every_mac_on_its_own_operands():
+    # K is split over a temporal and a spatial loop, so each operand's
+    # flat index folds coordinates from two nest positions
+    arch = parse_arch(FREE_BUFFER_CELL)
+    layer = parse_workload(SPREAD_LAYER)[0]
+    mapping = Mapping.from_dict(
+        {
+            "buffer": [
+                Loop("M", 2, "temporal"),
+                Loop("K", 3, "temporal"),
+                Loop("N", 3, "temporal"),
+            ],
+            "cell": [Loop("M", 2, "spatialX"), Loop("K", 2, "spatialY")],
+        }
+    )
+    seed = 5
+    tensors = draw_tensors(layer, seed)
+    ctx = build_action_context(arch.leaf, layer)
+    cell = get_model("reram_cell")
+    expected = math.fsum(
+        cell.oracle_energy(
+            "compute",
+            ctx,
+            {
+                "Inputs": int(tensors["Inputs"][k, n]),
+                "Weights": int(tensors["Weights"][k, m]),
+            },
+        )
+        for m in range(4)
+        for k in range(6)
+        for n in range(3)
+    )
+    got = oracle_evaluate(arch, layer, mapping, seed=seed)
+    assert got.counts == analyze_access_counts(arch, layer, mapping)
+    assert got.energy_j == expected
 
 
 def test_search_tiny_space_exhaustively(crossbar_arch, tiny_layer):
