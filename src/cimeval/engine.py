@@ -264,65 +264,25 @@ class EvalResult:
         return self.energy_j * self.latency_s
 
 
-class _FastState:
-    """Per-mapping evaluation state.
+def _objective(
+    plan: CountPlan, units: np.ndarray, clock: float, bounds, objective: str
+) -> float:
+    """Search objective of one mapping.
 
-    Every count is a product of bounds over a fixed slot subset; each
-    distinct subset is multiplied out once per mapping in Python ints, and
-    the counts then meet the per-action unit energies in one float64 dot.
-    Products below 2^53 convert to float exactly, so the objective is the
-    same as a float product of the bounds.
+    The plan's integer counts meet the per-entry unit energies in one
+    float64 dot.  Products below 2^53 convert to float exactly, so the
+    energy is the same as a float product of the bounds.
     """
-
-    def __init__(self, plan: CountPlan, table: EnergyTable, clock: float):
-        subsets: dict[tuple[int, ...], int] = {}
-
-        def sub_id(ids: tuple[int, ...]) -> int:
-            if ids not in subsets:
-                subsets[ids] = len(subsets)
-            return subsets[ids]
-
-        terms, units = [], []
-        for e in plan.entries:
-            b = sub_id(e.idx_b) if e.mode == "diff" else None
-            terms.append((sub_id(e.idx_a), b))
-            units.append(table.unit(e.node, e.action))
-        self.cycles_sub = sub_id(plan.temporal_idx)
-        self.subsets = tuple(subsets)
-        self.n_slots = 1 + max((max(ids) for ids in subsets if ids), default=0)
-        self.terms = tuple(terms)
-        self.units = np.array(units, dtype=np.float64)
-        self.clock = clock
-
-    def _products(self, bounds) -> list[int]:
-        if len(bounds) < self.n_slots:
-            raise EngineError("bounds vector shorter than the slot table")
-        out = []
-        for ids in self.subsets:
-            p = 1
-            for i in ids:
-                p *= bounds[i]
-            out.append(p)
-        return out
-
-    def _energy(self, p: list[int]) -> float:
-        counts = [p[a] if b is None else p[a] - p[b] for a, b in self.terms]
-        return float(np.array(counts, dtype=np.float64) @ self.units)
-
-    def energy(self, bounds) -> float:
-        return self._energy(self._products(bounds))
-
-    def objective_value(self, bounds, objective: str) -> float:
-        p = self._products(bounds)
-        energy = self._energy(p)
-        if objective == "energy":
-            return energy
-        latency = p[self.cycles_sub] * self.clock
-        if objective == "latency":
-            return latency
-        if objective == "edp":
-            return energy * latency
-        raise EngineError(f"unknown objective {objective!r}")
+    p = plan.products(bounds)
+    energy = float(np.array(plan.entry_counts(p), dtype=np.float64) @ units)
+    if objective == "energy":
+        return energy
+    latency = p[plan.cycles_sub] * clock
+    if objective == "latency":
+        return latency
+    if objective == "edp":
+        return energy * latency
+    raise EngineError(f"unknown objective {objective!r}")
 
 
 class LayerEvaluator:
@@ -344,33 +304,37 @@ class LayerEvaluator:
             arch.leaf.attributes.get("clock_period", DEFAULT_CLOCK_PERIOD)
         )
         self.macs = mac_count(layer)
-        self.fast = _FastState(self.plan, self.table, self.clock)
+        # unit energy of each plan entry, in entry order
+        self.units = np.array(
+            [self.table.unit(e.node, e.action) for e in self.plan.entries],
+            dtype=np.float64,
+        )
 
     def bounds_of(self, mapping: Mapping) -> list[int]:
         return self.slot_table.bounds_from_mapping(mapping)
 
     def energy_of_bounds(self, bounds) -> float:
-        return self.fast.energy(bounds)
+        return self.objective_value(bounds, "energy")
 
     def objective_value(self, bounds, objective: str) -> float:
-        return self.fast.objective_value(bounds, objective)
+        if len(bounds) < len(self.slot_table):
+            raise EngineError("bounds vector shorter than the slot table")
+        return _objective(self.plan, self.units, self.clock, bounds, objective)
 
     def evaluate(self, mapping: Mapping) -> EvalResult:
-        bounds = self.bounds_of(mapping)
-        counts = self.plan.counts(bounds)
+        counts, cycles, utilization = self.plan.evaluate(self.bounds_of(mapping))
         breakdown: dict[tuple[str, str], tuple[int, float, float]] = {}
         for (node, _tensor, action), c in sorted(counts.items()):
             unit = self.table.unit(node, action)
             prev = breakdown.get((node, action), (0, unit, 0.0))
             breakdown[(node, action)] = (prev[0] + c, unit, (prev[0] + c) * unit)
         energy = math.fsum(e for _, _, e in breakdown.values())
-        cycles = self.plan.cycles(bounds)
         return EvalResult(
             layer=self.layer.name,
             energy_j=energy,
             cycles=cycles,
             latency_s=cycles * self.clock,
-            utilization=self.plan.utilization(bounds),
+            utilization=utilization,
             area_m2=self.area_m2,
             macs=self.macs,
             counts=counts,
@@ -399,7 +363,14 @@ class SearchResult:
     fingerprint: str
 
 
-def _scan_indices(space: MappingSpace, fast: _FastState, objective: str, idxs):
+def _scan_indices(
+    space: MappingSpace,
+    plan: CountPlan,
+    units: np.ndarray,
+    clock: float,
+    objective: str,
+    idxs,
+):
     best = None
     valid = 0
     for i in idxs:
@@ -407,7 +378,7 @@ def _scan_indices(space: MappingSpace, fast: _FastState, objective: str, idxs):
         if not space.bounds_ok(bounds):
             continue
         valid += 1
-        val = fast.objective_value(bounds, objective)
+        val = _objective(plan, units, clock, bounds, objective)
         cand = (val, i)
         if best is None or cand < best:
             best = cand
@@ -417,14 +388,12 @@ def _scan_indices(space: MappingSpace, fast: _FastState, objective: str, idxs):
 _WORKER: dict = {}
 
 
-def _worker_init(space, fast, objective):
-    _WORKER["space"] = space
-    _WORKER["fast"] = fast
-    _WORKER["objective"] = objective
+def _worker_init(*scan_args):
+    _WORKER["args"] = scan_args
 
 
 def _worker_scan(idxs):
-    return _scan_indices(_WORKER["space"], _WORKER["fast"], _WORKER["objective"], idxs)
+    return _scan_indices(*_WORKER["args"], idxs)
 
 
 def search(
@@ -445,8 +414,11 @@ def search(
     if not idxs:
         return None
     jobs = max(1, config.jobs)
+    scan_args = (
+        space, evaluator.plan, evaluator.units, evaluator.clock, config.objective
+    )
     if jobs == 1 or len(idxs) < 64:
-        best, valid = _scan_indices(space, evaluator.fast, config.objective, idxs)
+        best, valid = _scan_indices(*scan_args, idxs)
     else:
         chunk = max(16, (len(idxs) + jobs * 8 - 1) // (jobs * 8))
         chunks = [idxs[i : i + chunk] for i in range(0, len(idxs), chunk)]
@@ -455,7 +427,7 @@ def search(
         with ProcessPoolExecutor(
             max_workers=jobs,
             initializer=_worker_init,
-            initargs=(space, evaluator.fast, config.objective),
+            initargs=scan_args,
         ) as pool:
             for part_best, part_valid in pool.map(_worker_scan, chunks):
                 valid += part_valid

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 
 import yaml
 
@@ -78,9 +78,6 @@ class Mapping:
                 return loops
         return ()
 
-    def as_dict(self) -> dict[str, tuple[Loop, ...]]:
-        return {node: loops for node, loops in self.loops}
-
 
 @dataclass(frozen=True)
 class Slot:
@@ -120,9 +117,24 @@ class SlotTable:
             (self._node_names[s.node], s.kind, s.dim): i
             for i, s in enumerate(self.slots)
         }
+        # canonical loop order: per node spatialX, spatialY then temporal,
+        # dims in layer order
+        kind_rank = {SPATIAL_X: 0, SPATIAL_Y: 1, TEMPORAL: 2}
+        dim_rank = {d: i for i, (d, _) in enumerate(self.dims)}
+        self._canonical = tuple(
+            (i, self._node_names[s.node], s.dim, s.kind)
+            for i, s in sorted(
+                enumerate(self.slots),
+                key=lambda t: (t[1].node, kind_rank[t[1].kind], dim_rank[t[1].dim]),
+            )
+        )
 
     def __len__(self) -> int:
         return len(self.slots)
+
+    @cached_property
+    def _rules(self) -> tuple[_Rule, ...]:
+        return _validity_rules(self)
 
     def slot_id(self, node: int, kind: str, dim: str) -> int:
         try:
@@ -157,23 +169,10 @@ class SlotTable:
         """Canonical mapping: per node spatialX, spatialY then temporal loops,
         dims in layer order, bound-1 loops omitted."""
         per_node: dict[str, list[Loop]] = {}
-        order = {TEMPORAL: 2, SPATIAL_X: 0, SPATIAL_Y: 1}
-        dim_rank = {d: i for i, (d, _) in enumerate(self.dims)}
-        ranked = sorted(
-            range(len(self.slots)),
-            key=lambda i: (
-                self.slots[i].node,
-                order[self.slots[i].kind],
-                dim_rank[self.slots[i].dim],
-            ),
-        )
-        for i in ranked:
+        for i, node, dim, kind in self._canonical:
             if bounds[i] == 1:
                 continue
-            s = self.slots[i]
-            per_node.setdefault(self._node_names[s.node], []).append(
-                Loop(s.dim, bounds[i], s.kind)
-            )
+            per_node.setdefault(node, []).append(Loop(dim, bounds[i], kind))
         return Mapping(tuple((n, tuple(ls)) for n, ls in per_node.items()))
 
 
@@ -192,39 +191,64 @@ class PlanEntry:
 
 @dataclass(frozen=True)
 class CountPlan:
-    """Compiled access-count rules for one (architecture, layer) pair."""
+    """Compiled access-count rules for one (architecture, layer) pair.
+
+    Each distinct slot subset of the entries, and the temporal slots whose
+    product is the cycle count, is listed once in ``subsets``, smallest
+    first, as (base, extra): subset ``base`` (None for the empty set) plus
+    the slots ``extra``, so ``products`` extends a product it already took.
+    Counts, cycles and utilization all read that one vector; the compute
+    entry spans every slot, so the occupied mesh instances are its product
+    over the cycles.
+    """
 
     entries: tuple[PlanEntry, ...]
-    temporal_idx: tuple[int, ...]
-    spatial_idx: tuple[int, ...]
+    subsets: tuple[tuple[int | None, tuple[int, ...]], ...]
+    # per entry: the subset ids of idx_a and, for 'diff' entries, idx_b
+    terms: tuple[tuple[int, int | None], ...]
+    cycles_sub: int
+    all_sub: int
     mesh_capacity: int
 
-    def counts(self, bounds: list[int]) -> dict[tuple[str, str, str], int]:
-        out: dict[tuple[str, str, str], int] = {}
-        for e in self.entries:
-            c = 1
-            for i in e.idx_a:
-                c *= bounds[i]
-            if e.mode == "diff":
-                d = 1
-                for i in e.idx_b:
-                    d *= bounds[i]
-                c -= d
-            key = (e.node, e.tensor, e.action)
-            out[key] = out.get(key, 0) + c
+    def products(self, bounds) -> list[int]:
+        """Product of the bounds over each subset, in ``subsets`` order."""
+        out: list[int] = []
+        for base, extra in self.subsets:
+            p = 1 if base is None else out[base]
+            for i in extra:
+                p *= bounds[i]
+            out.append(p)
         return out
 
-    def cycles(self, bounds: list[int]) -> int:
-        c = 1
-        for i in self.temporal_idx:
-            c *= bounds[i]
-        return c
+    def entry_counts(self, products: list[int]) -> list[int]:
+        """Count of each entry, in entry order."""
+        return [
+            products[a] if b is None else products[a] - products[b]
+            for a, b in self.terms
+        ]
 
-    def utilization(self, bounds: list[int]) -> float:
-        used = 1
-        for i in self.spatial_idx:
-            used *= bounds[i]
-        return used / self.mesh_capacity if self.mesh_capacity else 1.0
+    def evaluate(
+        self, bounds
+    ) -> tuple[dict[tuple[str, str, str], int], int, float]:
+        """Counts keyed (node, tensor, action), cycles and mesh utilization
+        of one mapping, all from one vector of products."""
+        p = self.products(bounds)
+        counts: dict[tuple[str, str, str], int] = {}
+        for e, c in zip(self.entries, self.entry_counts(p)):
+            key = (e.node, e.tensor, e.action)
+            counts[key] = counts.get(key, 0) + c
+        used = p[self.all_sub] // p[self.cycles_sub]
+        util = used / self.mesh_capacity if self.mesh_capacity else 1.0
+        return counts, p[self.cycles_sub], util
+
+    def counts(self, bounds) -> dict[tuple[str, str, str], int]:
+        return self.evaluate(bounds)[0]
+
+    def cycles(self, bounds) -> int:
+        return self.evaluate(bounds)[1]
+
+    def utilization(self, bounds) -> float:
+        return self.evaluate(bounds)[2]
 
 
 def _role_chain_entries(
@@ -349,18 +373,38 @@ def build_count_plan(arch: ArchTree, layer: WorkloadLayer) -> tuple[SlotTable, C
     )
     for role in ROLES:
         _role_chain_entries(table, role, entries)
-    temporal_idx = tuple(
-        i for i, s in enumerate(table.slots) if s.kind == TEMPORAL
+    temporal_idx = tuple(i for i, s in enumerate(table.slots) if s.kind == TEMPORAL)
+    distinct = sorted(
+        {e.idx_a for e in entries}
+        | {e.idx_b for e in entries if e.mode == "diff"}
+        | {temporal_idx},
+        key=lambda ids: (len(ids), ids),
     )
-    spatial_idx = tuple(
-        i for i, s in enumerate(table.slots) if s.kind != TEMPORAL
+    sub_id = {ids: k for k, ids in enumerate(distinct)}
+    subsets = []
+    for ids in distinct:
+        base = max(
+            (k for k in range(len(subsets)) if set(distinct[k]) <= set(ids)),
+            key=lambda k: len(distinct[k]),
+            default=None,
+        )
+        done = set() if base is None else set(distinct[base])
+        subsets.append((base, tuple(i for i in ids if i not in done)))
+    terms = tuple(
+        (sub_id[e.idx_a], sub_id[e.idx_b] if e.mode == "diff" else None)
+        for e in entries
     )
     capacity = 1
     for ni, node in enumerate(arch.nodes):
         if node.kind == "container" or ni == leaf_i:
             capacity *= node.spatial.mesh_x * node.spatial.mesh_y
     return table, CountPlan(
-        tuple(entries), temporal_idx, spatial_idx, capacity
+        tuple(entries),
+        tuple(subsets),
+        terms,
+        sub_id[temporal_idx],
+        sub_id[all_idx],
+        capacity,
     )
 
 
@@ -372,6 +416,124 @@ class Diagnostics:
     @property
     def ok(self) -> bool:
         return not self.errors
+
+
+_RULE_MESSAGES = {
+    "cover": "dim {dim!r}: loop bounds cover {value} of {lo} iterations",
+    "mesh": "node {node!r}: {dim} loops need {value} instances but the mesh "
+    "axis has {hi}",
+    "keep_dims": "node {node!r}: constraint keep_dims requires a loop over "
+    "{dim!r} here",
+    "unknown keep_dims": "node {node!r}: keep_dims names unknown dim {dim!r}",
+    "max_tile": "node {node!r}: tile of dim {dim!r} is {value}, max_tile "
+    "allows {hi}",
+    "unknown max_tile": "node {node!r}: max_tile names unknown dim {dim!r}",
+    "spatial_dims": "node {node!r}: spatial loops over {dim!r} are not "
+    "permitted by the spatial_dims constraint",
+    "capacity": "node {node!r}: retained tiles need {value} bits but "
+    "capacity is {hi}",
+}
+
+
+@dataclass(frozen=True)
+class _Rule:
+    """One validity rule: lo <= sum of w * prod(bounds[i] for i in ids)
+    over its (ids, w) terms <= hi.
+
+    kind, node and dim (the axis kind, for a mesh rule) only word the
+    message of a broken rule.
+    """
+
+    kind: str
+    node: str
+    dim: str
+    terms: tuple[tuple[tuple[int, ...], int], ...]
+    lo: float = 0
+    hi: float = math.inf
+
+    def value(self, bounds) -> int:
+        total = 0
+        for ids, w in self.terms:
+            for i in ids:
+                w *= bounds[i]
+            total += w
+        return total
+
+    def message(self, value: int) -> str:
+        hi = int(self.hi) if self.kind == "capacity" else self.hi
+        return _RULE_MESSAGES[self.kind].format(
+            node=self.node, dim=self.dim, value=value, lo=self.lo, hi=hi
+        )
+
+
+def _validity_rules(table: SlotTable) -> tuple[_Rule, ...]:
+    """Compile every validity rule of one (architecture, layer) pair.
+
+    Rules come in check_valid's reporting order: tiling per dim, mesh
+    axes, each node's constraints, buffer capacities.  A constraint that
+    names a dim the layer lacks compiles to a rule no mapping satisfies.
+    """
+    layer = table.layer
+    nodes = table.arch.nodes
+    leaf_i = len(nodes) - 1
+    size_of = dict(table.dims)
+
+    def sel(pred) -> tuple[int, ...]:
+        return tuple(i for i, s in enumerate(table.slots) if pred(s))
+
+    rules = [
+        _Rule("cover", "", dim, ((sel(lambda s: s.dim == dim), 1),), size, size)
+        for dim, size in table.dims
+    ]
+    for ni, node in enumerate(nodes):
+        if node.kind != "container" and ni != leaf_i:
+            continue
+        for kind, cap in (
+            (SPATIAL_X, node.spatial.mesh_x),
+            (SPATIAL_Y, node.spatial.mesh_y),
+        ):
+            axis = sel(lambda s: s.node == ni and s.kind == kind)
+            rules.append(_Rule("mesh", node.name, kind, ((axis, 1),), hi=cap))
+    for ni, node in enumerate(nodes):
+        cons = node.constraints
+        for dim in cons.keep_dims:
+            if dim not in size_of:
+                rules.append(_Rule("unknown keep_dims", node.name, dim, (), lo=1))
+            elif size_of[dim] > 1:
+                here = sel(lambda s: s.node == ni and s.dim == dim)
+                rules.append(_Rule("keep_dims", node.name, dim, ((here, 1),), lo=2))
+        for dim, cap in cons.max_tile:
+            if dim not in size_of:
+                rules.append(_Rule("unknown max_tile", node.name, dim, (), lo=1))
+            else:
+                tile = sel(lambda s: s.node >= ni and s.dim == dim)
+                rules.append(_Rule("max_tile", node.name, dim, ((tile, 1),), hi=cap))
+        if cons.spatial_dims is not None:
+            for i in sel(
+                lambda s: s.node == ni
+                and s.kind != TEMPORAL
+                and s.dim not in cons.spatial_dims
+            ):
+                dim = table.slots[i].dim
+                rules.append(_Rule("spatial_dims", node.name, dim, (((i,), 1),), hi=1))
+    # capacity, in bits, bounds the tiles a node retains for its
+    # temporal-reuse tensors
+    for ni, node in enumerate(nodes):
+        cap = node.attributes.get("capacity")
+        if cap is None:
+            continue
+        terms = []
+        for role in ROLES:
+            if node.directive(role) != TEMPORAL_REUSE:
+                continue
+            proj = set(layer.einsum.projection(role))
+            tile = sel(
+                lambda s: s.dim in proj
+                and (s.node >= ni if s.kind == TEMPORAL else s.node > ni)
+            )
+            terms.append((tile, layer.bits[role]))
+        rules.append(_Rule("capacity", node.name, "", tuple(terms), hi=cap))
+    return tuple(rules)
 
 
 def check_valid(
@@ -395,123 +557,15 @@ def check_valid(
     except MappingError as e:
         diag.errors.append(str(e))
         return diag
-
-    nodes = arch.nodes
-    leaf_i = len(nodes) - 1
-    for node_name, loops in mapping.loops:
-        ni = arch.index(node_name)
-        node = nodes[ni]
-        spatial_ok = node.kind == "container" or ni == leaf_i
-        for loop in loops:
-            if loop.kind != TEMPORAL and not spatial_ok:
-                diag.errors.append(
-                    f"spatial loop over {loop.dim!r} at {node_name!r}: spatial "
-                    "loops are only allowed at containers and the compute leaf"
-                )
-
-    # tiling completeness per dim
-    for dim, size in table.dims:
-        prod = 1
-        for i, s in enumerate(table.slots):
-            if s.dim == dim:
-                prod *= bounds[i]
-        if prod < size:
-            diag.errors.append(
-                f"dim {dim!r}: loop bounds cover {prod} of {size} iterations"
-            )
-        elif prod > size:
+    for rule in table._rules:
+        value = rule.value(bounds)
+        if rule.kind == "cover" and value > rule.hi:
             diag.warnings.append(
-                f"dim {dim!r}: loop bounds cover {prod} iterations, padded "
-                f"beyond size {size}"
+                f"dim {rule.dim!r}: loop bounds cover {value} iterations, "
+                f"padded beyond size {rule.hi}"
             )
-
-    # mesh capacity per axis
-    for ni, node in enumerate(nodes):
-        if node.kind != "container" and ni != leaf_i:
-            continue
-        for kind, cap in ((SPATIAL_X, node.spatial.mesh_x), (SPATIAL_Y, node.spatial.mesh_y)):
-            used = 1
-            for i, s in enumerate(table.slots):
-                if s.node == ni and s.kind == kind:
-                    used *= bounds[i]
-            if used > cap:
-                diag.errors.append(
-                    f"node {node.name!r}: {kind} loops need {used} instances "
-                    f"but the mesh axis has {cap}"
-                )
-
-    # node constraints
-    for ni, node in enumerate(nodes):
-        cons = node.constraints
-        if cons is None:
-            continue
-        size_of = dict(table.dims)
-        for dim in cons.keep_dims:
-            if dim not in size_of:
-                diag.errors.append(
-                    f"node {node.name!r}: keep_dims names unknown dim {dim!r}"
-                )
-                continue
-            if size_of[dim] == 1:
-                continue
-            prod = 1
-            for i, s in enumerate(table.slots):
-                if s.node == ni and s.dim == dim:
-                    prod *= bounds[i]
-            if prod == 1:
-                diag.errors.append(
-                    f"node {node.name!r}: constraint keep_dims requires a "
-                    f"loop over {dim!r} here"
-                )
-        for dim, cap in cons.max_tile:
-            if dim not in size_of:
-                diag.errors.append(
-                    f"node {node.name!r}: max_tile names unknown dim {dim!r}"
-                )
-                continue
-            tile = 1
-            for i, s in enumerate(table.slots):
-                if s.node >= ni and s.dim == dim:
-                    tile *= bounds[i]
-            if tile > cap:
-                diag.errors.append(
-                    f"node {node.name!r}: tile of dim {dim!r} is {tile}, "
-                    f"max_tile allows {cap}"
-                )
-        if cons.spatial_dims is not None:
-            allowed = set(cons.spatial_dims)
-            for i, s in enumerate(table.slots):
-                if s.node == ni and s.kind != TEMPORAL and bounds[i] > 1:
-                    if s.dim not in allowed:
-                        diag.errors.append(
-                            f"node {node.name!r}: spatial loops over {s.dim!r} "
-                            "are not permitted by the spatial_dims constraint"
-                        )
-
-    # buffer capacity, when declared (capacity in bits)
-    for ni, node in enumerate(nodes):
-        cap = node.attributes.get("capacity")
-        if cap is None:
-            continue
-        total_bits = 0
-        for role in ROLES:
-            if node.directive(role) != TEMPORAL_REUSE:
-                continue
-            proj = set(layer.einsum.projection(role))
-            elems = 1
-            for i, s in enumerate(table.slots):
-                if s.dim not in proj:
-                    continue
-                if (s.kind == TEMPORAL and s.node >= ni) or (
-                    s.kind != TEMPORAL and s.node > ni
-                ):
-                    elems *= bounds[i]
-            total_bits += elems * layer.bits[role]
-        if total_bits > cap:
-            diag.errors.append(
-                f"node {node.name!r}: retained tiles need {total_bits} bits "
-                f"but capacity is {int(cap)}"
-            )
+        elif value < rule.lo or value > rule.hi:
+            diag.errors.append(rule.message(value))
     return diag
 
 
@@ -595,53 +649,40 @@ class MappingSpace:
         self.table = SlotTable(arch, layer)
         self.arch = arch
         self.layer = layer
-        nodes = arch.nodes
-        leaf_i = len(nodes) - 1
-
-        def axis_cap(s: Slot) -> int | None:
-            node = nodes[s.node]
-            if s.kind == TEMPORAL:
-                return None
-            if node.kind != "container" and s.node != leaf_i:
-                return 0
-            cap = node.spatial.mesh_x if s.kind == SPATIAL_X else node.spatial.mesh_y
-            cons = node.constraints
-            if cons is not None and cons.spatial_dims is not None:
-                if s.dim not in cons.spatial_dims:
-                    return 0
-            return cap
+        rules = self.table._rules
+        # the rules that bind one dim prune its factorizations: a mesh axis
+        # caps each of its slots, a spatial_dims rule fixes its slot at 1,
+        # and a max_tile window caps the product of the dim's slots in it
+        # (each of these rules has one product term, terms[0])
+        slot_cap: dict[int, int] = {}
+        fixed: set[int] = set()
+        tile_rules: dict[str, list[_Rule]] = {}
+        for r in rules:
+            if r.kind == "mesh":
+                slot_cap.update(dict.fromkeys(r.terms[0][0], r.hi))
+            elif r.kind == "spatial_dims":
+                fixed.update(r.terms[0][0])
+            elif r.kind == "max_tile":
+                tile_rules.setdefault(r.dim, []).append(r)
 
         self.dim_slots: dict[str, list[int]] = {}
         self.dim_choices: dict[str, list[tuple[int, ...]]] = {}
         # one table for this build: dims with equal sizes and slot caps
         # (M and K of a square matvec) share their factorizations
         memo: dict = {}
-        for dim, size in self.table.dims:
-            slot_ids = []
-            caps = []
-            for i, s in enumerate(self.table.slots):
-                if s.dim != dim:
-                    continue
-                cap = axis_cap(s)
-                if cap == 0:
-                    continue
-                slot_ids.append(i)
-                caps.append(cap)
-            # max_tile binds a single dim, so it prunes here: the tile held
-            # at a node is the product of the dim's bounds at or below it
-            tile_windows = []
-            for ni, node in enumerate(nodes):
-                t_cap = node.constraints.max_tile_map.get(dim)
-                if t_cap is None:
-                    continue
-                pos = tuple(
-                    j
-                    for j, sid in enumerate(slot_ids)
-                    if self.table.slots[sid].node >= ni
+        for cover in (r for r in rules if r.kind == "cover"):
+            dim, size = cover.dim, cover.lo
+            slot_ids = [i for i in cover.terms[0][0] if i not in fixed]
+            caps = tuple(slot_cap.get(i) for i in slot_ids)
+            tile_windows = [
+                (
+                    tuple(j for j, sid in enumerate(slot_ids) if sid in r.terms[0][0]),
+                    r.hi,
                 )
-                tile_windows.append((pos, int(t_cap)))
+                for r in tile_rules.get(dim, ())
+            ]
             choices = []
-            for fac in _factorizations(size, len(slot_ids), tuple(caps), memo):
+            for fac in _factorizations(size, len(slot_ids), caps, memo):
                 if any(
                     math.prod(fac[j] for j in pos) > t_cap
                     for pos, t_cap in tile_windows
@@ -659,77 +700,19 @@ class MappingSpace:
         self.total = reduce(lambda a, b: a * b, self.radices, 1) if all(
             self.radices
         ) else 0
-
-        # residual validity checks not expressible per dim: mesh axes and
-        # keep_dims couple dims, capacity couples tensors
-        self._axis_checks: list[tuple[tuple[int, ...], int]] = []
-        self._keep_checks: list[tuple[int, ...]] = []
-        self._cap_checks: list[tuple[int, list[tuple[tuple[int, ...], int]]]] = []
-        size_of = dict(self.table.dims)
-        for ni, node in enumerate(nodes):
-            if node.kind == "container" or ni == leaf_i:
-                for kind, cap in (
-                    (SPATIAL_X, node.spatial.mesh_x),
-                    (SPATIAL_Y, node.spatial.mesh_y),
-                ):
-                    ids = tuple(
-                        i
-                        for i, s in enumerate(self.table.slots)
-                        if s.node == ni and s.kind == kind
-                    )
-                    if ids:
-                        self._axis_checks.append((ids, cap))
-            for dim in node.constraints.keep_dims:
-                if size_of.get(dim, 1) == 1:
-                    continue
-                ids = tuple(
-                    i
-                    for i, s in enumerate(self.table.slots)
-                    if s.node == ni and s.dim == dim
-                )
-                self._keep_checks.append(ids)
-            cap = node.attributes.get("capacity")
-            if cap is not None:
-                groups = []
-                for role in ROLES:
-                    if node.directive(role) != TEMPORAL_REUSE:
-                        continue
-                    proj = set(layer.einsum.projection(role))
-                    ids = tuple(
-                        i
-                        for i, s in enumerate(self.table.slots)
-                        if s.dim in proj
-                        and (
-                            (s.kind == TEMPORAL and s.node >= ni)
-                            or (s.kind != TEMPORAL and s.node > ni)
-                        )
-                    )
-                    groups.append((ids, layer.bits[role]))
-                if groups:
-                    self._cap_checks.append((int(cap), groups))
+        # every mapping of the space tiles each dim exactly within these
+        # caps; bounds_ok checks the rest, which couple dims (mesh axes), pin
+        # one node's loops (keep_dims), couple tensors (capacity) or name a
+        # dim the layer lacks
+        self._residual = tuple(
+            r for r in rules if r.kind not in ("cover", "spatial_dims", "max_tile")
+        )
 
     def bounds_ok(self, bounds: list[int]) -> bool:
-        """Fast equivalent of check_valid for bounds this space generated."""
-        for ids, cap in self._axis_checks:
-            p = 1
-            for i in ids:
-                p *= bounds[i]
-            if p > cap:
-                return False
-        for ids in self._keep_checks:
-            p = 1
-            for i in ids:
-                p *= bounds[i]
-            if p == 1:
-                return False
-        for cap, groups in self._cap_checks:
-            total = 0
-            for ids, bits in groups:
-                elems = 1
-                for i in ids:
-                    elems *= bounds[i]
-                total += elems * bits
-            if total > cap:
+        """check_valid's verdict on bounds this space generated."""
+        for r in self._residual:
+            value = r.value(bounds)
+            if value < r.lo or value > r.hi:
                 return False
         return True
 

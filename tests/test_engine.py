@@ -126,6 +126,15 @@ def test_objective_values_are_consistent(crossbar_arch, tiny_layer, tiny_mapping
     assert l == pytest.approx(1e-9)
 
 
+def test_short_bounds_vector_is_rejected(crossbar_arch, tiny_layer):
+    ev = LayerEvaluator(crossbar_arch, tiny_layer)
+    short = [1] * (len(ev.slot_table) - 1)
+    with pytest.raises(EngineError, match="shorter than the slot table"):
+        ev.energy_of_bounds(short)
+    with pytest.raises(EngineError, match="shorter than the slot table"):
+        ev.objective_value(short, "latency")
+
+
 def test_area_and_clock_attributes(crossbar_arch, tiny_layer, tiny_mapping):
     assert total_area(crossbar_arch) == pytest.approx(2.56e-8, rel=1e-12)
     slower = parse_arch(

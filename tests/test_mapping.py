@@ -302,6 +302,133 @@ def test_check_valid_capacity(tiny_layer):
     ).ok
 
 
+# A constrained hierarchy for the validity rules: the grid Container and
+# the pe leaf carry meshes, grid keeps K and parallelizes only M, and abuf
+# bounds the M tile twice, by max_tile and by its capacity of one 8-bit
+# output.
+ARCH_RULES_A = """
+--- !Component
+name: dram
+class: buffer
+temporal_reuse: [Inputs, Weights, Outputs]
+attributes: {e_per_bit: 1.0e-12, width: 16}
+--- !Container
+name: grid
+spatial: {meshX: 2, meshY: 2}
+spatial_reuse: [Inputs]
+constraints: {keep_dims: [K], spatial_dims: [M]}
+--- !Component
+name: abuf
+class: buffer
+temporal_reuse: [Outputs]
+attributes: {e_per_bit: 0.1e-12, width: 16, capacity: 8}
+constraints: {max_tile: {M: 2}}
+--- !Component
+name: pe
+class: sram_cell
+temporal_reuse: [Weights]
+spatial: {meshX: 2}
+attributes: {e_mac: 1.0e-13}
+"""
+
+# The same hierarchy with the constraints moved: a wide grid bounds the K
+# tile, abuf holds inputs and outputs, and the pe mesh must loop over M and
+# parallelizes only K.
+ARCH_RULES_B = """
+--- !Component
+name: dram
+class: buffer
+temporal_reuse: [Inputs, Weights, Outputs]
+attributes: {e_per_bit: 1.0e-12, width: 16}
+--- !Container
+name: grid
+spatial: {meshX: 4}
+spatial_reuse: [Inputs]
+constraints: {max_tile: {K: 2}}
+--- !Component
+name: abuf
+class: buffer
+temporal_reuse: [Inputs, Outputs]
+attributes: {e_per_bit: 0.1e-12, width: 16, capacity: 20}
+--- !Component
+name: pe
+class: sram_cell
+temporal_reuse: [Weights]
+spatial: {meshX: 2, meshY: 2}
+constraints: {keep_dims: [M], spatial_dims: [K]}
+attributes: {e_mac: 1.0e-13}
+"""
+
+LAYER_4X4 = """
+layers:
+  - name: sq
+    dims: {M: 4, K: 4}
+    projections: {Inputs: [K], Weights: [K, M], Outputs: [M]}
+    bits: {Inputs: 2, Weights: 1, Outputs: 8}
+    pmf: {Inputs: {delta: 1}, Weights: {delta: 1}}
+"""
+
+# Errors of the rules MappingSpace cannot enforce per dim, and of the ones
+# it can, by a fragment of their messages.
+RESIDUAL_ERRORS = ("mesh axis has", "keep_dims requires", "retained tiles need")
+PER_DIM_ERRORS = ("loop bounds cover", "max_tile allows", "spatial_dims constraint")
+
+
+@pytest.mark.parametrize(
+    "arch_text",
+    [
+        ARCH_RULES_A,
+        ARCH_RULES_B,
+        # a constraint on a dim the layer lacks rejects every mapping
+        ARCH_RULES_A.replace("keep_dims: [K]", "keep_dims: [K, Z]"),
+    ],
+    ids=["A", "B", "unknown_dim"],
+)
+def test_bounds_ok_agrees_with_check_valid(arch_text):
+    arch = parse_arch(arch_text)
+    layer = parse_workload(LAYER_4X4)[0]
+    space = MappingSpace(arch, layer)
+    rejected_by = dict.fromkeys(RESIDUAL_ERRORS, 0)
+    for i in range(space.total):
+        diag = check_valid(arch, layer, space.mapping_at(i), space.table)
+        assert space.bounds_ok(space.bounds_at(i)) == diag.ok, (i, diag.errors)
+        assert not diag.warnings
+        for e in diag.errors:
+            assert not any(f in e for f in PER_DIM_ERRORS), (i, e)
+            for f in RESIDUAL_ERRORS:
+                rejected_by[f] += f in e
+    assert all(rejected_by.values()), rejected_by
+
+
+def test_check_valid_messages_in_order():
+    text = ARCH_RULES_A.replace("keep_dims: [K]", "keep_dims: [Z]").replace(
+        "max_tile: {M: 2}", "keep_dims: [K], max_tile: {M: 2, Z: 3}"
+    )
+    arch = parse_arch(text)
+    layer = parse_workload(LAYER_4X4)[0]
+    mapping = Mapping.from_dict(
+        {
+            "grid": [Loop("M", 2, "spatialX"), Loop("K", 2, "spatialX")],
+            "pe": [Loop("M", 4, "temporal")],
+        }
+    )
+    diag = check_valid(arch, layer, mapping)
+    assert diag.errors == [
+        "dim 'K': loop bounds cover 2 of 4 iterations",
+        "node 'grid': spatialX loops need 4 instances but the mesh axis has 2",
+        "node 'grid': keep_dims names unknown dim 'Z'",
+        "node 'grid': spatial loops over 'K' are not permitted by the "
+        "spatial_dims constraint",
+        "node 'abuf': constraint keep_dims requires a loop over 'K' here",
+        "node 'abuf': tile of dim 'M' is 4, max_tile allows 2",
+        "node 'abuf': max_tile names unknown dim 'Z'",
+        "node 'abuf': retained tiles need 32 bits but capacity is 8",
+    ]
+    assert diag.warnings == [
+        "dim 'M': loop bounds cover 8 iterations, padded beyond size 4"
+    ]
+
+
 def test_utilization_of_partial_occupancy():
     text = read_fixture("arch_crossbar.yaml").replace(
         "spatial: {meshX: 2, meshY: 2}", "spatial: {meshX: 256, meshY: 256}"
