@@ -6,8 +6,9 @@ Exit codes: 0 success, 2 invalid input (parse or validation failure),
 3 empty mapping space (search found no valid mapping), 4 oracle mismatch.
 
 Reports are deterministic: JSON with sorted keys and no timestamps, CSV
-with LF line endings and a schema comment; the worker count never appears
-in a report, so reruns and --jobs variations are byte-identical.
+with LF line endings and a schema comment.  --jobs is accepted but starts
+no workers and never appears in a report, so reruns and --jobs variations
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .archspec import ArchError, ArchTree, SpatialSpec, parse_arch, validate
+from .archspec import NUMERIC_ATTRS, ArchError, ArchTree, parse_arch, validate
 from .components import ComponentError
 from .engine import (
+    DATAPATH_ATTRS,
     EngineError,
     LayerEvaluator,
     evaluate as engine_evaluate,
@@ -149,7 +151,10 @@ def _emit_report(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _jobs_default() -> int:
+def _jobs(args) -> int:
+    """--jobs, else $CIM_MODEL_JOBS, else 1; read only by search and sweep."""
+    if args.jobs is not None:
+        return args.jobs
     env = os.environ.get(JOBS_ENV)
     if env:
         try:
@@ -210,7 +215,7 @@ def _cmd_search(args) -> int:
         objective=args.objective,
         budget=args.budget,
         seed=args.seed,
-        jobs=args.jobs,
+        jobs=_jobs(args),
     )
     per_layer: dict = {}
     totals = {"energy_j": 0.0, "latency_s": 0.0, "macs": 0}
@@ -301,10 +306,16 @@ def _apply_param(arch: ArchTree, path: str, value) -> ArchTree:
         if attr in ("mesh_x", "mesh_y"):
             spatial = dataclasses.replace(node.spatial, **{attr: int(value)})
             nodes.append(dataclasses.replace(node, spatial=spatial))
-        else:
+        elif attr in node.attributes or attr in NUMERIC_ATTRS | DATAPATH_ATTRS:
             attrs = dict(node.attributes)
             attrs[attr] = value
             nodes.append(dataclasses.replace(node, attributes=attrs))
+        else:
+            # nothing would read it, say the YAML spelling meshX
+            raise _CliError(
+                f"sweep parameter {path!r}: node {node_name!r} has no attribute "
+                f"{attr!r} (mesh sizes are mesh_x and mesh_y)"
+            )
     if not hit:
         raise _CliError(f"sweep parameter names unknown node {node_name!r}")
     return ArchTree(tuple(nodes))
@@ -327,7 +338,7 @@ def _cmd_sweep(args) -> int:
         objective=args.objective,
         budget=args.budget,
         seed=args.seed,
-        jobs=args.jobs,
+        jobs=_jobs(args),
     )
     paths = [path for path, _ in params]
     columns = (
@@ -489,8 +500,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--jobs",
             type=int,
-            default=_jobs_default(),
-            help=f"worker processes (default ${JOBS_ENV} or 1)",
+            help=f"accepted for compatibility; the scan runs in one process "
+            f"(default ${JOBS_ENV} or 1)",
         )
 
     p = sub.add_parser("evaluate", help="evaluate one mapping")

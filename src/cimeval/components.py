@@ -204,20 +204,12 @@ class ComponentModel(ABC):
     value_dependent_on: frozenset[str] = frozenset()
 
     @abstractmethod
-    def actions(self) -> frozenset[str]:
-        """Action names this model can price."""
-
-    @abstractmethod
     def energy_per_action(self, action: str, ctx: ActionContext) -> float:
         """Average energy in joules for one action."""
 
     def area(self, attributes: dict) -> float:
         """Area in m^2 of one instance."""
         return float(attributes.get("area", 0.0))
-
-    def leakage_power(self, attributes: dict) -> float:
-        """Static power in watts of one instance; defaults to zero."""
-        return 0.0
 
     def oracle_energy(self, action: str, ctx: ActionContext, values: dict[str, int]) -> float:
         """Energy of one action given concrete operand values.
@@ -251,9 +243,6 @@ class MemoryCellModel(ComponentModel):
     """Resistive cell: analog MAC by driving a voltage across a conductance."""
 
     value_dependent_on = frozenset({"Inputs", "Weights"})
-
-    def actions(self) -> frozenset[str]:
-        return frozenset({"read", "compute", "write", "fill"})
 
     def energy_per_action(self, action: str, ctx: ActionContext) -> float:
         if action in ("read", "compute"):
@@ -292,9 +281,6 @@ class MemoryCellModel(ComponentModel):
 class SramCellModel(ComponentModel):
     """Digital cell: fixed energy per MAC."""
 
-    def actions(self) -> frozenset[str]:
-        return frozenset({"read", "compute", "write", "fill"})
-
     def energy_per_action(self, action: str, ctx: ActionContext) -> float:
         if action in ("read", "compute"):
             return float(ctx.attr("e_mac"))
@@ -308,9 +294,6 @@ class SramCellModel(ComponentModel):
 
 class DacModel(ComponentModel):
     value_dependent_on = frozenset({"Inputs"})
-
-    def actions(self) -> frozenset[str]:
-        return frozenset({"convert"})
 
     def energy_per_action(self, action: str, ctx: ActionContext) -> float:
         if action == "convert":
@@ -339,9 +322,6 @@ class DacModel(ComponentModel):
 
 
 class AdcModel(ComponentModel):
-    def actions(self) -> frozenset[str]:
-        return frozenset({"convert"})
-
     def energy_per_action(self, action: str, ctx: ActionContext) -> float:
         if action == "convert":
             return adc_convert_energy(ctx.attributes, ctx.node)
@@ -352,9 +332,6 @@ class AdcModel(ComponentModel):
 
 
 class BufferModel(ComponentModel):
-    def actions(self) -> frozenset[str]:
-        return frozenset({"read", "write", "fill", "update"})
-
     def energy_per_action(self, action: str, ctx: ActionContext) -> float:
         if action in ("read", "write", "fill"):
             return buffer_access_energy(ctx)
@@ -365,9 +342,6 @@ class BufferModel(ComponentModel):
 
 
 class AdderModel(ComponentModel):
-    def actions(self) -> frozenset[str]:
-        return frozenset({"compute", "convert"})
-
     def energy_per_action(self, action: str, ctx: ActionContext) -> float:
         if action in ("compute", "convert"):
             return adder_energy(ctx)
@@ -375,9 +349,6 @@ class AdderModel(ComponentModel):
 
 
 class WireModel(ComponentModel):
-    def actions(self) -> frozenset[str]:
-        return frozenset({"read", "write", "fill", "update", "convert", "compute"})
-
     def energy_per_action(self, action: str, ctx: ActionContext) -> float:
         if action == "update":
             return 2.0 * wire_energy(ctx)

@@ -22,7 +22,6 @@ import itertools
 import math
 import operator
 from collections import abc
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +65,10 @@ from .workload import ROLES, WorkloadLayer, mac_count
 DEFAULT_CLOCK_PERIOD = 1e-9
 
 _ROLE_ATTR = {"Inputs": "input", "Weights": "weight", "Outputs": "output"}
+# the per-role datapath attributes build_action_context reads
+DATAPATH_ATTRS = frozenset(
+    f"{r}_{a}" for r in _ROLE_ATTR.values() for a in ("encoding", "slice_width")
+)
 
 # A defaulted (undeclared) distribution enumerates every representable
 # value, so past this width the context omits it instead of building a
@@ -266,18 +269,28 @@ class EvalResult:
 
 def _objective(
     plan: CountPlan, units: np.ndarray, clock: float, bounds, objective: str
-) -> float:
-    """Search objective of one mapping.
+):
+    """Search objective of one mapping's bounds, or an array of it over a
+    block's bounds columns (as MappingSpace.scan yields them).
 
-    The plan's integer counts meet the per-entry unit energies in one
-    float64 dot.  Products below 2^53 convert to float exactly, so the
-    energy is the same as a float product of the bounds.
+    A block's integer counts fill a C-contiguous (mappings x entries)
+    float64 matrix, and each row meets the unit energies in its own 1-D
+    dot, as one mapping's counts do, so a mapping's energy is the same float
+    alone or in a block; one matrix-vector product sums in another order
+    and can move a winner.
     """
     p = plan.products(bounds)
-    energy = float(np.array(plan.entry_counts(p), dtype=np.float64) @ units)
+    counts = plan.entry_counts(p)
+    if isinstance(bounds, np.ndarray):
+        rows = np.empty((bounds.shape[1], len(units)))
+        for k, c in enumerate(counts):
+            rows[:, k] = c
+        energy = np.fromiter((row @ units for row in rows), np.float64, len(rows))
+    else:
+        energy = np.array(counts, dtype=np.float64) @ units
     if objective == "energy":
         return energy
-    latency = p[plan.cycles_sub] * clock
+    latency = np.asarray(p[plan.cycles_sub], np.float64) * clock
     if objective == "latency":
         return latency
     if objective == "edp":
@@ -319,7 +332,7 @@ class LayerEvaluator:
     def objective_value(self, bounds, objective: str) -> float:
         if len(bounds) < len(self.slot_table):
             raise EngineError("bounds vector shorter than the slot table")
-        return _objective(self.plan, self.units, self.clock, bounds, objective)
+        return float(_objective(self.plan, self.units, self.clock, bounds, objective))
 
     def evaluate(self, mapping: Mapping) -> EvalResult:
         counts, cycles, utilization = self.plan.evaluate(self.bounds_of(mapping))
@@ -363,39 +376,6 @@ class SearchResult:
     fingerprint: str
 
 
-def _scan_indices(
-    space: MappingSpace,
-    plan: CountPlan,
-    units: np.ndarray,
-    clock: float,
-    objective: str,
-    idxs,
-):
-    best = None
-    valid = 0
-    for i in idxs:
-        bounds = space.bounds_at(i)
-        if not space.bounds_ok(bounds):
-            continue
-        valid += 1
-        val = _objective(plan, units, clock, bounds, objective)
-        cand = (val, i)
-        if best is None or cand < best:
-            best = cand
-    return best, valid
-
-
-_WORKER: dict = {}
-
-
-def _worker_init(*scan_args):
-    _WORKER["args"] = scan_args
-
-
-def _worker_scan(idxs):
-    return _scan_indices(*_WORKER["args"], idxs)
-
-
 def search(
     arch: ArchTree,
     layer: WorkloadLayer,
@@ -404,35 +384,25 @@ def search(
 ) -> SearchResult | None:
     """Deterministic random search over the exact-tiling mapping space.
 
-    Ties on the objective break toward the lower enumeration index, and
-    chunked parallel scans merge with the same rule, so the winner is
-    independent of the worker count.
+    The drawn indices are scanned in ascending order, a block at a time,
+    and ties on the objective break toward the lower index.  The scan
+    runs in this process; ``config.jobs`` does not change it.
     """
     evaluator = LayerEvaluator(arch, layer, registry)
     space = MappingSpace(arch, layer)
     idxs = space.draw_indices(config.budget, config.seed)
-    if not idxs:
-        return None
-    jobs = max(1, config.jobs)
-    scan_args = (
-        space, evaluator.plan, evaluator.units, evaluator.clock, config.objective
-    )
-    if jobs == 1 or len(idxs) < 64:
-        best, valid = _scan_indices(*scan_args, idxs)
-    else:
-        chunk = max(16, (len(idxs) + jobs * 8 - 1) // (jobs * 8))
-        chunks = [idxs[i : i + chunk] for i in range(0, len(idxs), chunk)]
-        best = None
-        valid = 0
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_worker_init,
-            initargs=scan_args,
-        ) as pool:
-            for part_best, part_valid in pool.map(_worker_scan, chunks):
-                valid += part_valid
-                if part_best is not None and (best is None or part_best < best):
-                    best = part_best
+    best = None
+    valid = 0
+    for kept, cols in space.scan(idxs):
+        if not len(kept):
+            continue
+        valid += len(kept)
+        vals = _objective(
+            evaluator.plan, evaluator.units, evaluator.clock, cols, config.objective
+        )
+        k = int(np.argmin(vals))
+        if best is None or vals[k] < best[0]:
+            best = (vals[k], int(kept[k]))
     if best is None:
         return None
     _, best_idx = best

@@ -15,11 +15,13 @@ that is then evaluated per mapping with a handful of integer multiplies.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
+import numpy as np
 import yaml
 
 from .archspec import (
@@ -38,6 +40,10 @@ SPATIAL_Y = "spatialY"
 LOOP_KINDS = (TEMPORAL, SPATIAL_X, SPATIAL_Y)
 
 COMPUTE_TENSOR = "all"
+
+# Indices MappingSpace.scan decodes at once.  A block's bounds and count
+# matrices are a few hundred kB, so memory stays flat for any budget.
+SCAN_BLOCK = 1024
 
 
 class MappingError(ValueError):
@@ -210,17 +216,18 @@ class CountPlan:
     all_sub: int
     mesh_capacity: int
 
-    def products(self, bounds) -> list[int]:
-        """Product of the bounds over each subset, in ``subsets`` order."""
-        out: list[int] = []
+    def products(self, bounds) -> list:
+        """Product of the bounds over each subset, in ``subsets`` order;
+        arrays over mappings when ``bounds`` are a block's bounds columns."""
+        out: list = []
         for base, extra in self.subsets:
             p = 1 if base is None else out[base]
             for i in extra:
-                p *= bounds[i]
+                p = p * bounds[i]
             out.append(p)
         return out
 
-    def entry_counts(self, products: list[int]) -> list[int]:
+    def entry_counts(self, products: list) -> list:
         """Count of each entry, in entry order."""
         return [
             products[a] if b is None else products[a] - products[b]
@@ -441,7 +448,8 @@ class _Rule:
     over its (ids, w) terms <= hi.
 
     kind, node and dim (the axis kind, for a mesh rule) only word the
-    message of a broken rule.
+    message of a broken rule.  Like CountPlan.products, ``value`` takes one
+    mapping's bounds or a block's bounds columns.
     """
 
     kind: str
@@ -707,14 +715,22 @@ class MappingSpace:
         self._residual = tuple(
             r for r in rules if r.kind not in ("cover", "spatial_dims", "max_tile")
         )
+        # Under exact tiling a subset product is at most the MAC count and a
+        # rule value at most its weight sum times it; past int64 a block
+        # holds Python ints instead, so no product can wrap.
+        macs = math.prod(size for _, size in self.table.dims)
+        weight = max((sum(w for _, w in r.terms) for r in self._residual), default=1)
+        self._dtype = np.int64 if max(weight, 1) * macs < 2**63 else object
+        self._index_dtype = np.int64 if self.total <= 2**63 else object
 
-    def bounds_ok(self, bounds: list[int]) -> bool:
-        """check_valid's verdict on bounds this space generated."""
+    def bounds_ok(self, bounds):
+        """check_valid's verdict on bounds this space generated, or a mask
+        of verdicts on a block's bounds columns."""
+        ok = True
         for r in self._residual:
             value = r.value(bounds)
-            if value < r.lo or value > r.hi:
-                return False
-        return True
+            ok = ok & (value >= r.lo) & (value <= r.hi)
+        return ok
 
     def bounds_at(self, index: int) -> list[int]:
         bounds = [1] * len(self.table.slots)
@@ -725,6 +741,40 @@ class MappingSpace:
             for sid, b in zip(self.dim_slots[dim], fac):
                 bounds[sid] = b
         return bounds
+
+    def scan(self, indices):
+        """Yield, per block of SCAN_BLOCK indices, the ones bounds_ok accepts
+        (in the given order) and their bounds as columns: ``cols[s]`` holds
+        slot s's bound of each.  Indices decode as in bounds_at."""
+
+        def rows(choices, dim):
+            k = len(self.dim_slots[dim])
+            flat = itertools.chain.from_iterable(choices)
+            return np.fromiter(flat, self._dtype, len(choices) * k).reshape(-1, k)
+
+        # a dim with no more choices than indices converts its whole table
+        # once; a larger one converts only the choices drawn
+        digits = list(zip(self.table.dims, self.radices))
+        tables = {
+            dim: rows(self.dim_choices[dim], dim)
+            for (dim, _), radix in digits
+            if radix <= len(indices)
+        }
+        for start in range(0, len(indices), SCAN_BLOCK):
+            idx = np.array(indices[start : start + SCAN_BLOCK], self._index_dtype)
+            cols = np.ones((len(self.table), len(idx)), self._dtype)
+            rem = idx
+            for (dim, _), radix in reversed(digits):
+                chosen = (rem % radix).astype(np.intp)
+                rem = rem // radix
+                if dim in tables:
+                    picked = tables[dim][chosen]
+                else:
+                    choices = self.dim_choices[dim]
+                    picked = rows([choices[c] for c in chosen.tolist()], dim)
+                cols[self.dim_slots[dim]] = picked.T
+            ok = np.ones(len(idx), bool) & self.bounds_ok(cols)
+            yield idx[ok], cols[:, ok]
 
     def mapping_at(self, index: int) -> Mapping:
         return self.table.mapping_from_bounds(self.bounds_at(index))
@@ -757,12 +807,9 @@ def enumerate_mappings(
 ):
     """Yield (index, mapping) pairs for valid mappings, deterministically."""
     space = MappingSpace(arch, layer)
-    table = space.table
-    for idx in space.draw_indices(budget, seed):
-        bounds = space.bounds_at(idx)
-        mapping = table.mapping_from_bounds(bounds)
-        if check_valid(arch, layer, mapping, table).ok:
-            yield idx, mapping
+    for kept, cols in space.scan(space.draw_indices(budget, seed)):
+        for idx, bounds in zip(kept.tolist(), cols.T.tolist()):
+            yield idx, space.table.mapping_from_bounds(bounds)
 
 
 def parse_mapping(text: str) -> Mapping:

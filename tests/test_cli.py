@@ -17,7 +17,7 @@ MAPPING = fixture_path("mapping_tiny.yaml")
 CONV_WORKLOAD = fixture_path("workload_conv.yaml")
 
 # M=8/K=16 gives a mapping space well past the sampling budget, so a
-# budget of 200 feeds the worker pool at least 64 indices.
+# budget of 200 samples it.
 FC_TEXT = """\
 layers:
   - name: big
@@ -461,6 +461,41 @@ def test_jobs_env_sets_the_default(monkeypatch, tmp_path, capsys):
     rc = main(["search", "--arch", ARCH, "--workload", WORKLOAD, "--out", str(out)])
     assert rc == 0
     assert json.loads(out.read_text(encoding="utf-8"))["layers"]["tiny"]["valid"] == 47
+
+
+def test_jobs_env_is_read_only_by_search_and_sweep(monkeypatch, capsys):
+    monkeypatch.setenv("CIM_MODEL_JOBS", "soon")
+    assert main(["validate", "--arch", ARCH, "--workload", WORKLOAD]) == 0
+    assert capsys.readouterr().out == "ok\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip() == __version__
+    argv = ["sweep", "--arch", ARCH, "--workload", WORKLOAD]
+    assert main(argv + ["--param", "cell.t_read=1e-8"]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+    # an explicit --jobs wins, so the variable is never read
+    assert main(argv + ["--param", "cell.t_read=1e-8", "--jobs", "1"]) == 0
+
+
+def test_sweep_param_names_must_be_read(capsys):
+    argv = ["sweep", "--arch", ARCH, "--workload", CONV_WORKLOAD, "--layer", "fc"]
+    argv += ["--budget", "20"]
+    # meshX is the YAML spelling; nothing reads it as an attribute
+    assert main(argv + ["--param", "cell.meshX=1,2"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "'meshX'" in err[0] and "mesh_x" in err[0] and "mesh_y" in err[0]
+    for param in (
+        "cell.mesh_x=1,2",
+        "cell.input_slice_width=1,2",
+        "adc.resolution=4,8",
+    ):
+        assert main(argv + ["--param", param]) == 0, param
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert len(rows) == 2
+        # each point prices differently
+        assert rows[0].split(",")[2] != rows[1].split(",")[2], param
 
 
 def test_usage_errors_exit_two():

@@ -224,7 +224,6 @@ def test_area_and_leakage_defaults():
     assert cell.area({"cell_area": 2.5e-14}) == pytest.approx(2.5e-14)
     assert cell.area({}) == 0.0
     assert BufferModel().area({"area": 1e-8}) == pytest.approx(1e-8)
-    assert BufferModel().leakage_power({}) == 0.0
     assert AdcModel().area({"resolution": 8}) == pytest.approx(2.56e-8)
 
 

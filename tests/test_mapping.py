@@ -10,8 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cimeval.archspec import parse_arch
+from cimeval.engine import LayerEvaluator, _objective, search
 from cimeval.mapping import (
+    SCAN_BLOCK,
     Loop,
+    MapperConfig,
     Mapping,
     MappingError,
     MappingSpace,
@@ -536,3 +539,74 @@ def test_mapping_yaml_round_trip(tiny_mapping):
     # a bare node map is accepted, and kind defaults to temporal
     m = parse_mapping("buffer: [{dim: M, bound: 4}]")
     assert m.node_loops("buffer")[0].kind == "temporal"
+
+
+MATVEC_64 = """
+layers:
+  - name: matvec
+    dims: {M: 64, K: 64}
+    projections: {Inputs: [K], Weights: [K, M], Outputs: [M]}
+    bits: {Inputs: 8, Weights: 8, Outputs: 24}
+    pmf: {Inputs: {uniform: [0, 255]}, Weights: {two_point: [-32, 32, 0.5]}}
+    signed: {Inputs: false}
+"""
+
+# three primes near 2^31: every count is a product of up to three of them,
+# so the MAC count, about 2^93, is far past int64
+PRIMES = """
+layers:
+  - name: primes
+    dims: {M: 2147483647, K: 2147483629, N: 2147483587}
+    projections: {Inputs: [K, N], Weights: [K, M], Outputs: [M, N]}
+    bits: {Inputs: 1, Weights: 1, Outputs: 8}
+    pmf: {Inputs: {delta: 1}, Weights: {delta: 1}}
+"""
+
+# (arch, workload, layer number, budget); a budget below a dim's choice
+# count makes the scan convert only the drawn choices of that dim
+SCAN_CASES = {
+    "conv3x3": ("crossbar", "conv", 0, 3 * SCAN_BLOCK),
+    "conv3x3_few": ("crossbar", "conv", 0, 300),
+    "fc": ("crossbar", "conv", 1, 3 * SCAN_BLOCK),
+    "matvec": ("crossbar", MATVEC_64, 0, 3 * SCAN_BLOCK),
+    "rules_A": (ARCH_RULES_A, LAYER_4X4, 0, 3 * SCAN_BLOCK),
+    "rules_B": (ARCH_RULES_B, LAYER_4X4, 0, 3 * SCAN_BLOCK),
+    "primes": ("crossbar", PRIMES, 0, 3 * SCAN_BLOCK),
+}
+
+
+@pytest.mark.parametrize("case", list(SCAN_CASES))
+def test_block_scan_agrees_with_scalar_path(case):
+    arch_text, layer_text, k, budget = SCAN_CASES[case]
+    if arch_text == "crossbar":
+        arch_text = read_fixture("arch_crossbar.yaml")
+    if layer_text == "conv":
+        layer_text = read_fixture("workload_conv.yaml")
+    arch = parse_arch(arch_text)
+    layer = parse_workload(layer_text)[k]
+    space = MappingSpace(arch, layer)
+    ev = LayerEvaluator(arch, layer)
+    drawn = space.draw_indices(budget, seed=1)
+    blocks = list(space.scan(drawn))
+    assert len(blocks) == -(-len(drawn) // SCAN_BLOCK)
+    kept = [i for idx, _ in blocks for i in idx.tolist()]
+    assert kept == [i for i in drawn if space.bounds_ok(space.bounds_at(i))]
+    assert kept
+    wide = case == "primes"
+    for idx, cols in blocks:
+        assert (cols.dtype == object) == wide
+        assert cols.T.tolist() == [space.bounds_at(i) for i in idx.tolist()]
+    for objective in ("energy", "latency", "edp"):
+        block = [
+            v
+            for _, cols in blocks
+            if cols.shape[1]
+            for v in _objective(ev.plan, ev.units, ev.clock, cols, objective).tolist()
+        ]
+        scalar = [ev.objective_value(space.bounds_at(i), objective) for i in kept]
+        assert block == scalar
+        found = search(arch, layer, MapperConfig(objective, budget=budget, seed=1))
+        first_min = min(range(len(kept)), key=lambda j: (scalar[j], kept[j]))
+        assert found.index == kept[first_min]
+        assert found.valid == len(kept)
+        assert found.evaluated == len(drawn)
