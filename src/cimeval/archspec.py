@@ -71,6 +71,26 @@ class ArchError(ValueError):
     """Malformed architecture document."""
 
 
+def check_numeric(node: str, key: str, value) -> None:
+    """Reject a NUMERIC_ATTRS value that is not a number or is NaN (a NaN
+    prices every action at NaN); infinities are allowed."""
+    if not isinstance(value, (int, float)) or value != value:
+        raise ArchError(
+            f"node {node!r}: attribute {key!r} must be numeric, got {value!r}"
+        )
+
+
+def mesh_factor(node: str, key: str, value) -> int:
+    """A mesh size as an int: an integer >= 1, or a float equal to one."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ArchError(
+            f"node {node!r}: {key} must be an integer >= 1, got {value!r}"
+        )
+    return value
+
+
 @dataclass(frozen=True)
 class SpatialSpec:
     """Mesh replication of a node (and everything it encloses)."""
@@ -222,8 +242,8 @@ def _node_from_doc(kind: str, doc: dict) -> ArchNode:
     if not isinstance(spatial_raw, dict) or set(spatial_raw) - {"meshX", "meshY"}:
         raise ArchError(f"node {name!r}: spatial takes meshX/meshY only")
     spatial = SpatialSpec(
-        mesh_x=int(spatial_raw.get("meshX", 1)),
-        mesh_y=int(spatial_raw.get("meshY", 1)),
+        mesh_x=mesh_factor(name, "meshX", spatial_raw.get("meshX", 1)),
+        mesh_y=mesh_factor(name, "meshY", spatial_raw.get("meshY", 1)),
         spatial_reuse=_as_role_tuple(name, "spatial_reuse", doc.get("spatial_reuse")),
     )
 
@@ -323,11 +343,8 @@ def resolve_attributes(tree: ArchTree, defaults: dict) -> ArchTree:
     for node in tree.nodes:
         merged = {**defaults, **node.attributes}
         for key, value in merged.items():
-            if key in NUMERIC_ATTRS and not isinstance(value, (int, float)):
-                raise ArchError(
-                    f"node {node.name!r}: attribute {key!r} must be numeric, "
-                    f"got {value!r}"
-                )
+            if key in NUMERIC_ATTRS:
+                check_numeric(node.name, key, value)
         new_nodes.append(replace(node, attributes=merged))
     return ArchTree(nodes=tuple(new_nodes))
 

@@ -24,7 +24,15 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .archspec import NUMERIC_ATTRS, ArchError, ArchTree, parse_arch, validate
+from .archspec import (
+    NUMERIC_ATTRS,
+    ArchError,
+    ArchTree,
+    check_numeric,
+    mesh_factor,
+    parse_arch,
+    validate,
+)
 from .components import ComponentError
 from .engine import (
     DATAPATH_ATTRS,
@@ -304,9 +312,12 @@ def _apply_param(arch: ArchTree, path: str, value) -> ArchTree:
             continue
         hit = True
         if attr in ("mesh_x", "mesh_y"):
-            spatial = dataclasses.replace(node.spatial, **{attr: int(value)})
+            mesh = mesh_factor(node_name, attr, value)
+            spatial = dataclasses.replace(node.spatial, **{attr: mesh})
             nodes.append(dataclasses.replace(node, spatial=spatial))
         elif attr in node.attributes or attr in NUMERIC_ATTRS | DATAPATH_ATTRS:
+            if attr in NUMERIC_ATTRS:
+                check_numeric(node_name, attr, value)
             attrs = dict(node.attributes)
             attrs[attr] = value
             nodes.append(dataclasses.replace(node, attributes=attrs))

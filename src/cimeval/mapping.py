@@ -780,15 +780,61 @@ class MappingSpace:
         return self.table.mapping_from_bounds(self.bounds_at(index))
 
     def draw_indices(self, budget: int, seed: int) -> list[int]:
-        """Deterministic index stream: exhaustive when the space fits the
-        budget, otherwise a seeded uniform sample without replacement,
-        returned in ascending order."""
+        """Deterministic index stream: every index when the space fits the
+        budget, otherwise a uniform sample of `budget` distinct indices in
+        ascending order.  The sample is the set that
+        ``random.Random(seed).sample(range(total), budget)`` picks, drawn in
+        one pass, and spaces past 2**63, where that call overflows, are
+        sampled by the same rule."""
         if self.total == 0:
             return []
         if self.total <= budget:
             return list(range(self.total))
-        rng = random.Random(seed)
-        return sorted(rng.sample(range(self.total), budget))
+        return _sample_sorted(self.total, budget, seed)
+
+
+def _sample_sorted(total: int, budget: int, seed: int) -> list[int]:
+    """sorted(random.Random(seed).sample(range(total), budget)), without a
+    Python call per index once total is past the stdlib's small-set size.
+
+    There the stdlib draws ``getrandbits(total.bit_length())`` until it
+    has `budget` distinct values below total.  A draw of b bits reads
+    ceil(b/32) 32-bit generator outputs, lowest word first, and drops the
+    top word's low bits; one getrandbits over many whole words returns the
+    same outputs in the same order, so a block of draws is decoded here."""
+    if budget < 0:
+        raise ValueError(f"sample budget must be >= 0, got {budget}")
+    rng = random.Random(seed)
+    setsize = 21
+    if budget > 5:
+        setsize += 4 ** math.ceil(math.log(budget * 3, 4))
+    if total <= setsize:
+        # the stdlib shuffles a list here instead
+        return sorted(rng.sample(range(total), budget))
+    bits = total.bit_length()
+    words = -(-bits // 32)
+    dtype = np.uint64 if bits <= 64 else object
+    accepted = np.empty(0, dtype)
+    need = budget
+    while True:
+        # a draw lands below total with probability over 1/2
+        m = (need << bits) // total + need // 32 + 64
+        raw = rng.getrandbits(32 * words * m).to_bytes(4 * words * m, "little")
+        out = np.frombuffer(raw, "<u4").reshape(m, words)
+        value = (out[:, -1] >> (32 * words - bits)).astype(dtype)
+        for w in range(words - 2, -1, -1):
+            value = (value << 32) | out[:, w].astype(dtype)
+        accepted = np.concatenate([accepted, value[value < total]])
+        if len(accepted) >= budget:
+            head = np.sort(accepted[:budget])
+            if (head[1:] != head[:-1]).all():
+                return head.tolist()
+        # a repeat is redrawn, so the sample is the first `budget` values
+        # in order of first appearance
+        _, first = np.unique(accepted, return_index=True)
+        if len(first) >= budget:
+            return np.sort(accepted[np.sort(first)[:budget]]).tolist()
+        need = budget - len(first)
 
 
 @dataclass(frozen=True)
@@ -797,6 +843,10 @@ class MapperConfig:
     budget: int = 1000
     seed: int = 0
     jobs: int = 1
+
+    def __post_init__(self):
+        if not isinstance(self.budget, int) or self.budget < 1:
+            raise MappingError(f"budget must be an integer >= 1, got {self.budget!r}")
 
 
 def enumerate_mappings(

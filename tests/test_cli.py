@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cimeval import __version__
+from cimeval import MappingSpace, __version__, parse_arch, parse_workload
 from cimeval.cli import main
 
 from conftest import fixture_path, read_fixture
@@ -164,9 +164,18 @@ def test_broken_architecture_exits_two(tmp_path, capsys):
     "fixture, old, new",
     [
         ("arch_crossbar.yaml", "t_read: 10.0e-9", "t_read: fast"),
+        ("arch_crossbar.yaml", "t_read: 10.0e-9", "t_read: .nan"),
+        ("arch_crossbar.yaml", "meshX: 2", "meshX: 1.5"),
+        ("arch_crossbar.yaml", "meshX: 2", "meshX: .inf"),
         ("workload_tiny.yaml", "dims: {M: 2, K: 2}", "dims: {M: two, K: 2}"),
     ],
-    ids=["non_numeric_attribute", "non_integer_dim"],
+    ids=[
+        "non_numeric_attribute",
+        "nan_attribute",
+        "fractional_mesh",
+        "infinite_mesh",
+        "non_integer_dim",
+    ],
 )
 def test_malformed_numbers_exit_two(tmp_path, capsys, fixture, old, new):
     text = read_fixture(fixture)
@@ -496,6 +505,66 @@ def test_sweep_param_names_must_be_read(capsys):
         assert len(rows) == 2
         # each point prices differently
         assert rows[0].split(",")[2] != rows[1].split(",")[2], param
+
+
+def test_sweep_rejects_fractional_meshes_and_nan_attributes(capsys):
+    argv = ["sweep", "--arch", ARCH, "--workload", CONV_WORKLOAD, "--layer", "fc"]
+    argv += ["--budget", "20"]
+    for param in (
+        "cell.mesh_x=1.5",
+        "cell.mesh_x=inf",
+        "cell.mesh_x=nan",
+        "cell.mesh_y=2,2.9",
+        "cell.t_read=nan",
+    ):
+        assert main(argv + ["--param", param]) == 2, param
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), param
+    # an integral float is a mesh size; an infinite attribute is allowed
+    assert main(argv + ["--param", "cell.mesh_x=2.0"]) == 0
+    assert main(argv + ["--param", "cell.t_read=inf"]) == 0
+
+
+@pytest.mark.parametrize("command", ["search", "sweep"])
+def test_non_positive_budget_exits_two(capsys, command):
+    argv = [command, "--arch", ARCH, "--workload", CONV_WORKLOAD, "--layer", "fc"]
+    if command == "sweep":
+        argv += ["--param", "cell.mesh_x=2"]
+    for budget in ("0", "-1"):
+        assert main(argv + ["--budget", budget]) == 2, budget
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "budget" in err[0], budget
+
+
+# conv3x3's projections at sizes whose mapping space passes 2**63
+HUGE_TEXT = """\
+layers:
+  - name: huge
+    dims: {N: 4096, C: 8192, M: 8192, P: 3600, Q: 3600, R: 7, S: 7}
+    projections:
+      Inputs: [N, C, P, Q, R, S]
+      Weights: [C, M, R, S]
+      Outputs: [N, M, P, Q]
+    bits: {Inputs: 8, Weights: 8, Outputs: 24}
+    pmf: {Inputs: {uniform: [0, 127]}, Weights: {two_point: [-64, 64, 0.5]}}
+"""
+
+
+def test_search_samples_a_space_past_int64(tmp_path):
+    wl = tmp_path / "huge.yaml"
+    wl.write_text(HUGE_TEXT)
+    out = tmp_path / "huge.json"
+    argv = ["search", "--arch", ARCH, "--workload", str(wl), "--budget", "100"]
+    assert main(argv + ["--out", str(out)]) == 0
+    space = MappingSpace(parse_arch(read_fixture("arch_crossbar.yaml")),
+                         parse_workload(HUGE_TEXT)[0])
+    assert space.total > 2**63
+    drawn = space.draw_indices(100, 0)
+    assert drawn == sorted(set(drawn)) and len(drawn) == 100
+    assert drawn[-1] < space.total
+    assert space.draw_indices(100, 0) == drawn
+    best = json.loads(out.read_text())["layers"]["huge"]["best_index"]
+    assert best in drawn
 
 
 def test_usage_errors_exit_two():

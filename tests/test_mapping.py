@@ -5,10 +5,18 @@ hand; the engine's brute-force oracle re-derives the same numbers in
 test_engine and test_acceptance.
 """
 
+import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cimeval
 from cimeval.archspec import parse_arch
 from cimeval.engine import LayerEvaluator, _objective, search
 from cimeval.mapping import (
@@ -523,6 +531,53 @@ layers:
     for i in a:
         assert 0 <= i < space.total
         assert space.bounds_at(i) == space.bounds_at(i)
+
+
+def _stdlib_setsize(budget):
+    """random.sample's switch point: up to this population it shuffles a
+    list, past it it redraws into a set."""
+    return 21 + (4 ** math.ceil(math.log(budget * 3, 4)) if budget > 5 else 0)
+
+
+def test_draw_indices_matches_random_sample(crossbar_arch, tiny_layer):
+    space = MappingSpace(crossbar_arch, tiny_layer)
+    cases = []
+    for budget in (1, 6, 7, 2_000, 20_000):
+        size = _stdlib_setsize(budget)
+        cases += [(budget, size), (budget, size + 1)]
+    # one to three 32-bit words per draw, and the largest range() length
+    for bits in (31, 32, 33, 63):
+        cases += [(1, 2 ** (bits - 1) + 12_345), (2_000, 2**bits - 3)]
+    cases.append((2_000, 2**63 - 1))
+    # 20,000 draws from 70,000 repeat values, which are redrawn
+    cases.append((20_000, 70_000))
+    for budget, total in cases:
+        # draw_indices reads nothing of the space but its total
+        space.total = total
+        for seed in (0, 7919, 2**32 + 17):
+            expected = sorted(random.Random(seed).sample(range(total), budget))
+            assert space.draw_indices(budget, seed) == expected, (budget, total, seed)
+
+
+def test_sampled_search_leaves_numpy_random_unimported():
+    # a fresh interpreter: other tests may have imported numpy.random here
+    script = (
+        "import sys, cimeval\n"
+        "arch = cimeval.parse_arch(open(sys.argv[1]).read())\n"
+        "layer = cimeval.parse_workload(open(sys.argv[2]).read())[0]\n"
+        "found = cimeval.search(arch, layer, cimeval.MapperConfig(budget=500))\n"
+        "assert found.space_total > 500\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    fixtures = Path(__file__).parent / "fixtures"
+    src = str(Path(cimeval.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script,
+         str(fixtures / "arch_crossbar.yaml"), str(fixtures / "workload_conv.yaml")],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_mapping_yaml_round_trip(tiny_mapping):
