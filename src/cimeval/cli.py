@@ -152,7 +152,13 @@ def _breakdown_doc(breakdown: dict) -> dict:
 
 
 def _emit_report(report: dict, out: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise _CliError(
+            "the report holds an infinite or NaN number, which JSON cannot "
+            "represent; check the architecture's energy and timing attributes"
+        ) from None
     if out:
         Path(out).write_text(text, encoding="utf-8", newline="\n")
     else:

@@ -273,21 +273,18 @@ def _objective(
     """Search objective of one mapping's bounds, or an array of it over a
     block's bounds columns (as MappingSpace.scan yields them).
 
-    A block's integer counts fill a C-contiguous (mappings x entries)
-    float64 matrix, and each row meets the unit energies in its own 1-D
-    dot, as one mapping's counts do, so a mapping's energy is the same float
-    alone or in a block; one matrix-vector product sums in another order
-    and can move a winner.
+    Energy adds float64(count) * unit left to right in plan-entry order, on
+    Python ints and floats for one mapping and column-wise on int64 (or
+    Python-int object) columns for a block: the same roundings in the same
+    order, so a mapping's energy is the same float alone or in a block, on
+    any BLAS build (a BLAS dot may reorder or fuse its additions).
     """
     p = plan.products(bounds)
-    counts = plan.entry_counts(p)
+    energy = 0.0
+    for c, u in zip(plan.entry_counts(p), units.tolist()):
+        energy = energy + c * u
     if isinstance(bounds, np.ndarray):
-        rows = np.empty((bounds.shape[1], len(units)))
-        for k, c in enumerate(counts):
-            rows[:, k] = c
-        energy = np.fromiter((row @ units for row in rows), np.float64, len(rows))
-    else:
-        energy = np.array(counts, dtype=np.float64) @ units
+        energy = np.asarray(energy, np.float64)
     if objective == "energy":
         return energy
     latency = np.asarray(p[plan.cycles_sub], np.float64) * clock

@@ -594,35 +594,39 @@ def _factorizations(
     n: int,
     k: int,
     caps: tuple[int | None, ...] | None = None,
+    tails: tuple[int | None, ...] | None = None,
     memo: dict | None = None,
 ) -> list[tuple[int, ...]]:
     """All ordered k-tuples of positive ints whose product is n.
 
     Tuples come in ascending lexicographic order.  caps[j], when not None,
-    bounds entry j; capped-out divisors are pruned inside the recursion, so
-    the result is the uncapped list filtered by the caps, in the same order.
-    memo caches suffix results across calls that share it; the returned
-    lists may be shared with it and must not be mutated.
+    bounds entry j; tails (k + 1 long), where tails[j] is not None, bounds
+    the product of entries j and after.  Both prune inside the recursion,
+    where the n left at depth j is that tail product, so the result is the
+    uncapped list filtered by the caps, in the same order.  memo caches
+    suffix results across calls that share it; the returned lists may be
+    shared with it and must not be mutated.
     """
     if caps is None:
         caps = (None,) * k
+    if tails is None:
+        tails = (None,) * (k + 1)
     if memo is None:
         memo = {}
-    key = (n, caps)
+    key = (n, caps, tails)
     out = memo.get(key)
     if out is not None:
         return out
-    if k == 0:
-        out = [()] if n == 1 else []
-    elif k == 1:
-        out = [(n,)] if caps[0] is None or n <= caps[0] else []
-    else:
-        cap, rest_caps = caps[0], caps[1:]
+    if tails[0] is not None and n > tails[0]:
         out = []
-        for d in sorted(_divisors(n)):
-            if cap is not None and d > cap:
+    elif k == 0:
+        out = [()] if n == 1 else []
+    else:
+        out = []
+        for d in [n] if k == 1 else sorted(_divisors(n)):
+            if caps[0] is not None and d > caps[0]:
                 break
-            for rest in _factorizations(n // d, k - 1, rest_caps, memo):
+            for rest in _factorizations(n // d, k - 1, caps[1:], tails[1:], memo):
                 out.append((d,) + rest)
     memo[key] = out
     return out
@@ -644,9 +648,9 @@ class MappingSpace:
     """Indexable space of exact-tiling mappings for one (arch, layer) pair.
 
     For each dim the factorizations of its size across the eligible slots
-    are tabulated (spatial slots capped at their mesh axis while the
-    factorizations are generated, max_tile caps applied per dim); a mapping
-    index is a mixed-radix number over the
+    are tabulated, pruned while they are generated: spatial slots are
+    capped at their mesh axis, and each max_tile window caps a tail product
+    of the dim's slots.  A mapping index is a mixed-radix number over the
     per-dim tables, so the space supports exhaustive iteration and seeded
     uniform sampling without replacement.
     """
@@ -682,21 +686,13 @@ class MappingSpace:
             dim, size = cover.dim, cover.lo
             slot_ids = [i for i in cover.terms[0][0] if i not in fixed]
             caps = tuple(slot_cap.get(i) for i in slot_ids)
-            tile_windows = [
-                (
-                    tuple(j for j, sid in enumerate(slot_ids) if sid in r.terms[0][0]),
-                    r.hi,
-                )
-                for r in tile_rules.get(dim, ())
-            ]
-            choices = []
-            for fac in _factorizations(size, len(slot_ids), caps, memo):
-                if any(
-                    math.prod(fac[j] for j in pos) > t_cap
-                    for pos, t_cap in tile_windows
-                ):
-                    continue
-                choices.append(fac)
+            # a max_tile window covers the dim's slots at its node and
+            # below, a suffix of slot_ids (slot ids are node-major)
+            tails = [None] * (len(slot_ids) + 1)
+            for r in tile_rules.get(dim, ()):
+                j = sum(sid not in r.terms[0][0] for sid in slot_ids)
+                tails[j] = r.hi if tails[j] is None else min(tails[j], r.hi)
+            choices = _factorizations(size, len(slot_ids), caps, tuple(tails), memo)
             if len(choices) > self.MAX_PER_DIM:
                 raise MappingError(
                     f"mapping space for dim {dim!r} exceeds "

@@ -525,6 +525,28 @@ def test_sweep_rejects_fractional_meshes_and_nan_attributes(capsys):
     assert main(argv + ["--param", "cell.t_read=inf"]) == 0
 
 
+@pytest.mark.parametrize("command", ["search", "evaluate"])
+def test_infinite_pricing_attribute_exits_two_without_a_report(
+    tmp_path, capsys, command
+):
+    arch = tmp_path / "arch.yaml"
+    out = tmp_path / "report.json"
+    argv = [command, "--arch", str(arch), "--workload", WORKLOAD]
+    argv += ["--mapping", MAPPING] if command == "evaluate" else ["--budget", "20"]
+    base = read_fixture("arch_crossbar.yaml")
+    arch.write_text(base.replace("t_read: 10.0e-9", "t_read: .inf"))
+    for extra in ([], ["--out", str(out)]):
+        assert main(argv + extra) == 2, extra
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), extra
+        assert captured.out == "" and not out.exists(), extra
+    # an infinite capacity prices nothing: the report stays strict JSON
+    arch.write_text(base.replace("width: 8", "width: 8\n  capacity: .inf"))
+    assert main(argv + ["--out", str(out)]) == 0
+    json.loads(out.read_text(encoding="utf-8"), parse_constant=pytest.fail)
+
+
 @pytest.mark.parametrize("command", ["search", "sweep"])
 def test_non_positive_budget_exits_two(capsys, command):
     argv = [command, "--arch", ARCH, "--workload", CONV_WORKLOAD, "--layer", "fc"]

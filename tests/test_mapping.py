@@ -5,6 +5,7 @@ hand; the engine's brute-force oracle re-derives the same numbers in
 test_engine and test_acceptance.
 """
 
+import functools
 import math
 import os
 import random
@@ -12,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -473,18 +475,103 @@ def test_factorizations_exhaustive():
     st.integers(1, 4096),
     st.lists(st.one_of(st.none(), st.integers(1, 128)), max_size=5),
     st.lists(st.one_of(st.none(), st.integers(1, 128)), max_size=5),
+    st.data(),
 )
 @settings(max_examples=200, deadline=None)
-def test_capped_factorizations_filter_the_uncapped_list(n, caps, other_caps):
-    # one memo serves both cap vectors, as it serves every dim of a space
+def test_capped_factorizations_filter_the_uncapped_list(n, caps, other_caps, data):
+    # one memo serves every cap and tail vector, as it serves every dim of
+    # a space; caps comes twice, with other tails the second time
     memo = {}
     for cs in (caps, other_caps, caps):
+        tails = data.draw(
+            st.lists(
+                st.one_of(st.none(), st.integers(0, 256)),
+                min_size=len(cs) + 1,
+                max_size=len(cs) + 1,
+            )
+        )
         expected = [
             fac
             for fac in _factorizations(n, len(cs))
             if all(c is None or b <= c for b, c in zip(fac, cs))
+            and all(t is None or math.prod(fac[j:]) <= t for j, t in enumerate(tails))
         ]
-        assert _factorizations(n, len(cs), tuple(cs), memo) == expected
+        got = _factorizations(n, len(cs), tuple(cs), tuple(tails), memo)
+        assert got == expected
+
+
+def _filtered_dim_choices(space):
+    """Each dim's mesh-capped factorizations, and the ones among them that
+    pass every max_tile window of the dim, checked by the slots the window
+    holds."""
+    rules = space.table._rules
+    slot_cap = {}
+    for r in rules:
+        if r.kind == "mesh":
+            slot_cap.update(dict.fromkeys(r.terms[0][0], r.hi))
+    sizes = dict(space.table.dims)
+    capped, out = {}, {}
+    for dim, slot_ids in space.dim_slots.items():
+        caps = tuple(slot_cap.get(i) for i in slot_ids)
+        windows = [
+            ([j for j, sid in enumerate(slot_ids) if sid in r.terms[0][0]], r.hi)
+            for r in rules
+            if r.kind == "max_tile" and r.dim == dim
+        ]
+        capped[dim] = _factorizations(sizes[dim], len(slot_ids), caps)
+        out[dim] = [
+            fac
+            for fac in capped[dim]
+            if all(math.prod(fac[j] for j in pos) <= hi for pos, hi in windows)
+        ]
+    return capped, out
+
+
+LAYER_12X8 = """
+layers:
+  - name: wide
+    dims: {M: 12, K: 8}
+    projections: {Inputs: [K], Weights: [K, M], Outputs: [M]}
+    bits: {Inputs: 2, Weights: 1, Outputs: 8}
+    pmf: {Inputs: {delta: 1}, Weights: {delta: 1}}
+"""
+
+# (arch, layer, max_tile rules the arch holds)
+TILE_CASES = {
+    "A": (ARCH_RULES_A, LAYER_4X4, 1),
+    "B": (ARCH_RULES_B, LAYER_4X4, 1),
+    # two windows on M, the outer one holding the inner
+    "two_nodes": (
+        ARCH_RULES_A.replace(
+            "spatial_dims: [M]}", "spatial_dims: [M], max_tile: {M: 6}}"
+        ),
+        LAYER_12X8,
+        2,
+    ),
+    # a unit window: every M loop sits above the cell
+    "unit": ("crossbar", LAYER_12X8, 1),
+}
+
+
+@pytest.mark.parametrize("case", list(TILE_CASES))
+def test_max_tile_tail_caps_equal_the_window_filter(case):
+    arch_text, layer_text, n_tile_rules = TILE_CASES[case]
+    if arch_text == "crossbar":
+        arch_text = read_fixture("arch_crossbar.yaml").replace(
+            "spatial: {meshX: 2, meshY: 2}",
+            "spatial: {meshX: 2, meshY: 2}\nconstraints: {max_tile: {M: 1}}",
+        )
+    arch = parse_arch(arch_text)
+    layer = parse_workload(layer_text)[0]
+    space = MappingSpace(arch, layer)
+    assert sum(r.kind == "max_tile" for r in space.table._rules) == n_tile_rules
+    capped, expected = _filtered_dim_choices(space)
+    assert space.dim_choices == expected
+    radices = [len(expected[d]) for d, _ in space.table.dims]
+    assert space.radices == radices
+    assert space.total == math.prod(radices) > 0
+    # the windows bind: they filter out some mesh-capped factorization
+    assert any(len(expected[d]) < len(capped[d]) for d in expected)
 
 
 def test_mapping_space_tiny_census(crossbar_arch, tiny_layer):
@@ -665,3 +752,50 @@ def test_block_scan_agrees_with_scalar_path(case):
         assert found.index == kept[first_min]
         assert found.valid == len(kept)
         assert found.evaluated == len(drawn)
+
+
+# (workload, layer number) of the priced objective test; the primes layer
+# scans in Python-int object blocks
+PRICED_CASES = {"conv3x3": ("conv", 0), "fc": ("conv", 1), "primes": (PRIMES, 0)}
+
+
+@functools.lru_cache(maxsize=None)
+def _priced_scan(case):
+    layer_text, k = PRICED_CASES[case]
+    if layer_text == "conv":
+        layer_text = read_fixture("workload_conv.yaml")
+    # the crossbar with buffer traffic and accumulation priced too
+    arch = parse_arch(
+        read_fixture("arch_crossbar.yaml")
+        .replace("e_per_bit: 0.0", "e_per_bit: 2.0e-15")
+        .replace("e_per_add: 0.0", "e_per_add: 5.0e-15")
+    )
+    layer = parse_workload(layer_text)[k]
+    space = MappingSpace(arch, layer)
+    drawn = space.draw_indices(SCAN_BLOCK // 2, seed=3)
+    blocks = [cols for _, cols in space.scan(drawn) if cols.shape[1]]
+    assert blocks and all((c.dtype == object) == (case == "primes") for c in blocks)
+    return LayerEvaluator(arch, layer), blocks
+
+
+@given(st.sampled_from(list(PRICED_CASES)), st.data())
+@settings(max_examples=30, deadline=None)
+def test_objective_is_a_left_to_right_float_sum(case, data):
+    ev, blocks = _priced_scan(case)
+    n = len(ev.units)
+    ev.units = np.array(
+        data.draw(st.lists(st.floats(1e-18, 1e-9), min_size=n, max_size=n))
+    )
+    for objective in ("energy", "latency", "edp"):
+        for cols in blocks:
+            vals = _objective(ev.plan, ev.units, ev.clock, cols, objective)
+            for v, bounds in zip(vals.tolist(), cols.T.tolist()):
+                p = ev.plan.products(bounds)
+                energy = 0.0
+                for c, u in zip(ev.plan.entry_counts(p), ev.units.tolist()):
+                    energy += float(c) * u
+                latency = float(p[ev.plan.cycles_sub]) * ev.clock
+                want = {"energy": energy, "latency": latency}.get(
+                    objective, energy * latency
+                )
+                assert v == ev.objective_value(bounds, objective) == want
