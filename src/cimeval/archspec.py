@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import yaml
 
-from .workload import ROLES, WorkloadLayer
+from .workload import ROLES, WorkloadLayer, as_integer
 
 TEMPORAL_REUSE = "temporal_reuse"
 COALESCE = "coalesce"
@@ -81,14 +81,14 @@ def check_numeric(node: str, key: str, value) -> None:
 
 
 def mesh_factor(node: str, key: str, value) -> int:
-    """A mesh size as an int: an integer >= 1, or a float equal to one."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+    """A mesh size or tile bound as an int: an integer >= 1, or a float
+    equal to one."""
+    n = as_integer(value)
+    if n is None or n < 1:
         raise ArchError(
             f"node {node!r}: {key} must be an integer >= 1, got {value!r}"
         )
-    return value
+    return n
 
 
 @dataclass(frozen=True)
@@ -220,11 +220,11 @@ def instances(tree: ArchTree, name: str) -> int:
     return count
 
 
-def _as_role_tuple(node_name: str, key: str, raw) -> tuple[str, ...]:
+def _as_name_tuple(node_name: str, key: str, raw) -> tuple[str, ...]:
     if raw is None:
         return ()
     if not isinstance(raw, list):
-        raise ArchError(f"node {node_name!r}: {key} must be a list of tensor names")
+        raise ArchError(f"node {node_name!r}: {key} must be a list of names")
     return tuple(str(r) for r in raw)
 
 
@@ -244,7 +244,7 @@ def _node_from_doc(kind: str, doc: dict) -> ArchNode:
     spatial = SpatialSpec(
         mesh_x=mesh_factor(name, "meshX", spatial_raw.get("meshX", 1)),
         mesh_y=mesh_factor(name, "meshY", spatial_raw.get("meshY", 1)),
-        spatial_reuse=_as_role_tuple(name, "spatial_reuse", doc.get("spatial_reuse")),
+        spatial_reuse=_as_name_tuple(name, "spatial_reuse", doc.get("spatial_reuse")),
     )
 
     cons_raw = doc.get("constraints") or {}
@@ -255,9 +255,14 @@ def _node_from_doc(kind: str, doc: dict) -> ArchNode:
         raise ArchError(f"node {name!r}: max_tile must map dims to bounds")
     spatial_dims = cons_raw.get("spatial_dims")
     constraints = Constraints(
-        keep_dims=tuple(str(d) for d in (cons_raw.get("keep_dims") or ())),
-        max_tile=tuple((str(d), int(b)) for d, b in max_tile.items()),
-        spatial_dims=None if spatial_dims is None else tuple(str(d) for d in spatial_dims),
+        keep_dims=_as_name_tuple(name, "keep_dims", cons_raw.get("keep_dims")),
+        max_tile=tuple(
+            (str(d), mesh_factor(name, f"max_tile of {d!r}", b))
+            for d, b in max_tile.items()
+        ),
+        spatial_dims=None
+        if spatial_dims is None
+        else _as_name_tuple(name, "spatial_dims", spatial_dims),
     )
 
     attributes = doc.get("attributes") or {}
@@ -269,9 +274,9 @@ def _node_from_doc(kind: str, doc: dict) -> ArchNode:
         kind=kind,
         klass=doc.get("class"),
         attributes=dict(attributes),
-        temporal_reuse=_as_role_tuple(name, "temporal_reuse", doc.get("temporal_reuse")),
-        coalesce=_as_role_tuple(name, "coalesce", doc.get("coalesce")),
-        no_coalesce=_as_role_tuple(name, "no_coalesce", doc.get("no_coalesce")),
+        temporal_reuse=_as_name_tuple(name, "temporal_reuse", doc.get("temporal_reuse")),
+        coalesce=_as_name_tuple(name, "coalesce", doc.get("coalesce")),
+        no_coalesce=_as_name_tuple(name, "no_coalesce", doc.get("no_coalesce")),
         spatial=spatial,
         constraints=constraints,
     )

@@ -6,9 +6,8 @@ Exit codes: 0 success, 2 invalid input (parse or validation failure),
 3 empty mapping space (search found no valid mapping), 4 oracle mismatch.
 
 Reports are deterministic: JSON with sorted keys and no timestamps, CSV
-with LF line endings and a schema comment.  --jobs is accepted but starts
-no workers and never appears in a report, so reruns and --jobs variations
-are byte-identical.
+with LF line endings and a schema comment.  search and sweep accept
+--jobs N and ignore it, so reruns and --jobs variations are byte-identical.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import dataclasses
 import hashlib
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -57,8 +55,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_EMPTY = 3
 EXIT_MISMATCH = 4
-
-JOBS_ENV = "CIM_MODEL_JOBS"
 
 _INPUT_ERRORS = (
     ArchError,
@@ -165,19 +161,6 @@ def _emit_report(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _jobs(args) -> int:
-    """--jobs, else $CIM_MODEL_JOBS, else 1; read only by search and sweep."""
-    if args.jobs is not None:
-        return args.jobs
-    env = os.environ.get(JOBS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise _CliError(f"{JOBS_ENV} must be an integer, got {env!r}")
-    return 1
-
-
 def _select_one_layer(layers: list[WorkloadLayer], why: str) -> WorkloadLayer:
     if len(layers) != 1:
         names = ", ".join(l.name for l in layers)
@@ -226,10 +209,7 @@ def _cmd_search(args) -> int:
     if args.dump_mapping and len(layers) != 1:
         raise _CliError("--dump-mapping needs --layer with multi-layer workloads")
     config = MapperConfig(
-        objective=args.objective,
-        budget=args.budget,
-        seed=args.seed,
-        jobs=_jobs(args),
+        objective=args.objective, budget=args.budget, seed=args.seed
     )
     per_layer: dict = {}
     totals = {"energy_j": 0.0, "latency_s": 0.0, "macs": 0}
@@ -352,10 +332,7 @@ def _cmd_sweep(args) -> int:
                 f"{path} has {len(values)}, expected {n_points}"
             )
     config = MapperConfig(
-        objective=args.objective,
-        budget=args.budget,
-        seed=args.seed,
-        jobs=_jobs(args),
+        objective=args.objective, budget=args.budget, seed=args.seed
     )
     paths = [path for path, _ in params]
     columns = (
@@ -517,8 +494,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--jobs",
             type=int,
-            help=f"accepted for compatibility; the scan runs in one process "
-            f"(default ${JOBS_ENV} or 1)",
+            help="ignored; accepted so that existing scripts keep working",
         )
 
     p = sub.add_parser("evaluate", help="evaluate one mapping")

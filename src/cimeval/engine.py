@@ -60,7 +60,7 @@ from .valuemodel import (
     encode_pmf,
     slice_pmf,
 )
-from .workload import ROLES, WorkloadLayer, mac_count
+from .workload import ROLES, WorkloadLayer, as_integer, mac_count
 
 DEFAULT_CLOCK_PERIOD = 1e-9
 
@@ -83,7 +83,9 @@ class EngineError(ValueError):
 def _slice_scheme(bits: int, width) -> SliceScheme:
     if width is None:
         return SliceScheme((bits,))
-    w = int(width)
+    w = as_integer(width)
+    if w is None:
+        raise EngineError(f"slice width must be an integer, got {width!r}")
     if w < 1 or w > bits:
         raise EngineError(f"slice width {w} outside [1, {bits}]")
     widths = [w] * (bits // w)
@@ -323,9 +325,6 @@ class LayerEvaluator:
     def bounds_of(self, mapping: Mapping) -> list[int]:
         return self.slot_table.bounds_from_mapping(mapping)
 
-    def energy_of_bounds(self, bounds) -> float:
-        return self.objective_value(bounds, "energy")
-
     def objective_value(self, bounds, objective: str) -> float:
         if len(bounds) < len(self.slot_table):
             raise EngineError("bounds vector shorter than the slot table")
@@ -382,8 +381,7 @@ def search(
     """Deterministic random search over the exact-tiling mapping space.
 
     The drawn indices are scanned in ascending order, a block at a time,
-    and ties on the objective break toward the lower index.  The scan
-    runs in this process; ``config.jobs`` does not change it.
+    and ties on the objective break toward the lower index.
     """
     evaluator = LayerEvaluator(arch, layer, registry)
     space = MappingSpace(arch, layer)

@@ -116,7 +116,6 @@ class SlotTable:
                 for dim, _ in self.dims:
                     slots.append(Slot(ni, kind, dim))
         self.slots = tuple(slots)
-        self.index = {s: i for i, s in enumerate(self.slots)}
         self._node_names = tuple(n.name for n in arch.nodes)
         # (node name, kind, dim) -> slot id, the lookup a mapping loop needs
         self._slot_of = {
@@ -141,15 +140,6 @@ class SlotTable:
     @cached_property
     def _rules(self) -> tuple[_Rule, ...]:
         return _validity_rules(self)
-
-    def slot_id(self, node: int, kind: str, dim: str) -> int:
-        try:
-            return self.index[Slot(node, kind, dim)]
-        except KeyError:
-            raise MappingError(
-                f"no loop slot for kind {kind!r} at node "
-                f"{self._node_names[node]!r}"
-            ) from None
 
     def bounds_from_mapping(self, mapping: Mapping) -> list[int]:
         bounds = [1] * len(self.slots)
@@ -247,15 +237,6 @@ class CountPlan:
         used = p[self.all_sub] // p[self.cycles_sub]
         util = used / self.mesh_capacity if self.mesh_capacity else 1.0
         return counts, p[self.cycles_sub], util
-
-    def counts(self, bounds) -> dict[tuple[str, str, str], int]:
-        return self.evaluate(bounds)[0]
-
-    def cycles(self, bounds) -> int:
-        return self.evaluate(bounds)[1]
-
-    def utilization(self, bounds) -> float:
-        return self.evaluate(bounds)[2]
 
 
 def _role_chain_entries(
@@ -577,19 +558,6 @@ def check_valid(
     return diag
 
 
-def utilization(arch: ArchTree, layer: WorkloadLayer, mapping: Mapping) -> float:
-    table, plan = build_count_plan(arch, layer)
-    return plan.utilization(table.bounds_from_mapping(mapping))
-
-
-def analyze_access_counts(
-    arch: ArchTree, layer: WorkloadLayer, mapping: Mapping
-) -> dict[tuple[str, str, str], int]:
-    """Closed-form access counts keyed by (node, tensor, action)."""
-    table, plan = build_count_plan(arch, layer)
-    return plan.counts(table.bounds_from_mapping(mapping))
-
-
 def _factorizations(
     n: int,
     k: int,
@@ -838,7 +806,6 @@ class MapperConfig:
     objective: str = "energy"
     budget: int = 1000
     seed: int = 0
-    jobs: int = 1
 
     def __post_init__(self):
         if not isinstance(self.budget, int) or self.budget < 1:

@@ -10,6 +10,7 @@ the brute-force oracle.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,6 +25,18 @@ PROB_TOL = 1e-9
 
 class WorkloadError(ValueError):
     """Malformed workload document or inconsistent layer data."""
+
+
+def as_integer(value) -> int | None:
+    """An integer (not a bool), or a float equal to one, as an int; else None."""
+    if isinstance(value, float):
+        return int(value) if value.is_integer() else None
+    if isinstance(value, (bool, np.bool_)):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -50,7 +63,7 @@ class ValuePMF:
         if any(p < 0.0 for p in self.probs):
             raise WorkloadError("PMF probabilities must be non-negative")
         total = math.fsum(self.probs)
-        if abs(total - 1.0) > PROB_TOL:
+        if not abs(total - 1.0) <= PROB_TOL:
             raise WorkloadError(f"PMF probabilities sum to {total!r}, not 1")
 
     def mean(self) -> float:
@@ -107,17 +120,22 @@ def two_point_pmf(a: int, b: int, p_b: float) -> ValuePMF:
 
 
 def synth_pmf(kind: str, params) -> ValuePMF:
-    """Build a synthetic PMF: uniform(lo, hi), delta(v) or two_point(a, b, p)."""
-    if kind == "uniform":
-        lo, hi = params
-        return uniform_pmf(int(lo), int(hi))
-    if kind == "delta":
-        value = params[0] if isinstance(params, (list, tuple)) else params
-        return delta_pmf(int(value))
+    """Build a synthetic PMF: uniform(lo, hi), delta(v) or two_point(a, b, p).
+
+    Values are integers (a float equal to one counts) and p is a number.
+    """
+    arity = {"uniform": 2, "delta": 1, "two_point": 3}.get(kind)
+    if arity is None:
+        raise WorkloadError(f"unknown synthetic PMF kind {kind!r}")
+    args = list(params) if isinstance(params, (list, tuple)) else [params]
+    values = [as_integer(v) for v in args[: min(arity, 2)]]
+    if len(args) != arity or None in values or (
+        arity == 3 and type(args[2]) not in (int, float)
+    ):
+        raise WorkloadError(f"bad {kind} PMF parameters {params!r}")
     if kind == "two_point":
-        a, b, p = params
-        return two_point_pmf(int(a), int(b), float(p))
-    raise WorkloadError(f"unknown synthetic PMF kind {kind!r}")
+        return two_point_pmf(*values, float(args[2]))
+    return uniform_pmf(*values) if kind == "uniform" else delta_pmf(*values)
 
 
 @dataclass(frozen=True)
@@ -242,7 +260,7 @@ def mac_count(layer: WorkloadLayer) -> int:
 def _parse_pmf_spec(spec, base_dir: Path | None) -> ValuePMF:
     if isinstance(spec, dict) and len(spec) == 1:
         kind, params = next(iter(spec.items()))
-        if kind == "file":
+        if kind == "file" and isinstance(params, str):
             path = Path(params)
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
@@ -266,10 +284,12 @@ def _parse_pmf_spec(spec, base_dir: Path | None) -> ValuePMF:
 
 def _pmf_from_table(params) -> ValuePMF:
     try:
-        support = tuple(int(v) for v in params["support"])
+        support = tuple(as_integer(v) for v in params["support"])
         probs = tuple(float(p) for p in params["probs"])
     except (KeyError, TypeError, ValueError) as exc:
         raise WorkloadError(f"bad PMF table {params!r}") from exc
+    if None in support:
+        raise WorkloadError(f"bad PMF table {params!r}: support values are integers")
     order = sorted(range(len(support)), key=lambda i: support[i])
     return ValuePMF(
         tuple(support[i] for i in order),
@@ -278,12 +298,16 @@ def _pmf_from_table(params) -> ValuePMF:
 
 
 def _as_int(layer: str, what: str, value) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise WorkloadError(
-            f"layer {layer!r}: {what} must be an integer, got {value!r}"
-        ) from None
+    n = as_integer(value)
+    if n is None:
+        raise WorkloadError(f"layer {layer!r}: {what} must be an integer, got {value!r}")
+    return n
+
+
+def _as_map(layer: str, what: str, raw) -> dict:
+    if not isinstance(raw, dict):
+        raise WorkloadError(f"layer {layer!r}: {what!r} must be a mapping")
+    return raw
 
 
 def parse_workload(text: str, base_dir: str | Path | None = None) -> list[WorkloadLayer]:
@@ -310,6 +334,9 @@ def parse_workload(text: str, base_dir: str | Path | None = None) -> list[Worklo
         if not isinstance(raw, dict):
             raise WorkloadError(f"layer #{i} is not a mapping")
         name = raw.get("name", f"layer{i}")
+        if not isinstance(name, (str, int, float)):
+            raise WorkloadError(f"layer #{i}: name must be a string, got {name!r}")
+        name = str(name)
         if name in names:
             raise WorkloadError(f"duplicate layer name {name!r}")
         names.add(name)
@@ -325,21 +352,26 @@ def parse_workload(text: str, base_dir: str | Path | None = None) -> list[Worklo
             (str(d), _as_int(name, f"size of dim {d!r}", s)) for d, s in dims_raw.items()
         )
         tensors = {}
-        if not isinstance(proj_raw, dict):
-            raise WorkloadError(f"layer {name!r}: 'projections' must be a mapping")
-        for role, proj in proj_raw.items():
+        for role, proj in _as_map(name, "projections", proj_raw).items():
+            if not isinstance(proj, (list, type(None))):
+                raise WorkloadError(
+                    f"layer {name!r}: projection of {role!r} must be a list of dims"
+                )
             tensors[str(role)] = tuple(str(d) for d in (proj or ()))
         einsum = EinsumSpec(dims=dims, tensors=tensors)
-        if not isinstance(bits_raw, dict):
-            raise WorkloadError(f"layer {name!r}: 'bits' must map tensors to widths")
         bits = {
-            str(r): _as_int(name, f"bit width of {r!r}", b) for r, b in bits_raw.items()
+            str(r): _as_int(name, f"bit width of {r!r}", b)
+            for r, b in _as_map(name, "bits", bits_raw).items()
         }
-        pmfs = {}
-        for role, spec in (raw.get("pmf") or {}).items():
-            pmfs[str(role)] = _parse_pmf_spec(spec, base)
-        signed = {str(r): bool(s) for r, s in (raw.get("signed") or {}).items()}
+        pmfs = {
+            str(r): _parse_pmf_spec(spec, base)
+            for r, spec in _as_map(name, "pmf", raw.get("pmf") or {}).items()
+        }
+        signed = {
+            str(r): bool(v)
+            for r, v in _as_map(name, "signed", raw.get("signed") or {}).items()
+        }
         layers.append(
-            WorkloadLayer(name=str(name), einsum=einsum, bits=bits, pmfs=pmfs, signed=signed)
+            WorkloadLayer(name=name, einsum=einsum, bits=bits, pmfs=pmfs, signed=signed)
         )
     return layers

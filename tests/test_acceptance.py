@@ -20,7 +20,7 @@ from cimeval.engine import (
     oracle_evaluate,
     precompute_energy_table,
 )
-from cimeval.mapping import analyze_access_counts, enumerate_mappings, parse_mapping
+from cimeval.mapping import build_count_plan, enumerate_mappings, parse_mapping
 from cimeval.valuemodel import Encoding, SliceScheme, encode_pmf, slice_pmf
 from cimeval.workload import ValuePMF, mac_count, parse_workload
 
@@ -227,7 +227,8 @@ def test_criterion_1_closed_form_counts_equal_oracle_counts():
             continue
         _, mapping = candidates[rng.randrange(len(candidates))]
 
-        analytic = analyze_access_counts(arch, layer, mapping)
+        table, plan = build_count_plan(arch, layer)
+        analytic = plan.evaluate(table.bounds_from_mapping(mapping))[0]
         oracle = oracle_evaluate(arch, layer, mapping, seed=trial)
         keys = set(analytic) | set(oracle.counts)
         for key in sorted(keys):
@@ -522,7 +523,7 @@ def test_criterion_6_table_reuse_amortizes_across_mappings():
         t0 = time.perf_counter()
         ev = LayerEvaluator(arch, layer)
         for mapping in batch:
-            ev.energy_of_bounds(ev.bounds_of(mapping))
+            ev.objective_value(ev.bounds_of(mapping), "energy")
         t_batch = min(t_batch, time.perf_counter() - t0)
 
     assert t_batch < 10.0 * t_single, f"batch {t_batch:.4f}s vs single {t_single:.4f}s"

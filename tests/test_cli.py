@@ -36,6 +36,13 @@ layers:
     pmf: {Inputs: {delta: 1}, Weights: {delta: 1}}
 """
 
+_BUFFER_REUSE = "temporal_reuse: [Inputs, Outputs]\n"
+_CONSTRAINED = _BUFFER_REUSE + "constraints: "
+_TINY_BITS = "    bits: {Inputs: 1, Weights: 1, Outputs: 8}\n"
+_TINY_PMF = (
+    "    pmf:\n      Inputs: {two_point: [0, 1, 0.25]}\n      Weights: {delta: 1}\n"
+)
+
 PADDED_MAPPING = """\
 nodes:
   buffer:
@@ -168,6 +175,24 @@ def test_broken_architecture_exits_two(tmp_path, capsys):
         ("arch_crossbar.yaml", "meshX: 2", "meshX: 1.5"),
         ("arch_crossbar.yaml", "meshX: 2", "meshX: .inf"),
         ("workload_tiny.yaml", "dims: {M: 2, K: 2}", "dims: {M: two, K: 2}"),
+        ("arch_crossbar.yaml", _BUFFER_REUSE, _CONSTRAINED + "{max_tile: {M: x}}\n"),
+        ("arch_crossbar.yaml", _BUFFER_REUSE, _CONSTRAINED + "{max_tile: {M: 1.5}}\n"),
+        ("arch_crossbar.yaml", _BUFFER_REUSE, _CONSTRAINED + "{max_tile: {M: 0}}\n"),
+        ("arch_crossbar.yaml", _BUFFER_REUSE, _CONSTRAINED + "{keep_dims: 5}\n"),
+        ("arch_crossbar.yaml", _BUFFER_REUSE, _CONSTRAINED + "{spatial_dims: 3}\n"),
+        ("workload_tiny.yaml", _TINY_PMF, "    pmf: [1, 2]\n"),
+        ("workload_tiny.yaml", _TINY_BITS, _TINY_BITS + "    signed: [1]\n"),
+        ("workload_tiny.yaml", "Inputs: [K]", "Inputs: 5"),
+        ("workload_tiny.yaml", "{two_point: [0, 1, 0.25]}", "{uniform: [0]}"),
+        ("workload_tiny.yaml", "{two_point: [0, 1, 0.25]}", "{two_point: [0, 1, x]}"),
+        ("workload_tiny.yaml", "{delta: 1}", "{delta: x}"),
+        ("workload_tiny.yaml", "name: tiny", "name: [x]"),
+        ("workload_tiny.yaml", "dims: {M: 2, K: 2}", "dims: {M: 2.5, K: 2}"),
+        ("workload_tiny.yaml", "bits: {Inputs: 1,", "bits: {Inputs: 1.7,"),
+        ("arch_crossbar.yaml", "  vdd: 1.0\n", "  vdd: 1.0\n  input_slice_width: x\n"),
+        ("arch_crossbar.yaml", "  vdd: 1.0\n", "  vdd: 1.0\n  input_slice_width: 1.5\n"),
+        ("workload_tiny.yaml", "{delta: 1}", "{file: [x]}"),
+        ("workload_tiny.yaml", "{delta: 1}", "{support: [1.5], probs: [1.0]}"),
     ],
     ids=[
         "non_numeric_attribute",
@@ -175,6 +200,24 @@ def test_broken_architecture_exits_two(tmp_path, capsys):
         "fractional_mesh",
         "infinite_mesh",
         "non_integer_dim",
+        "non_numeric_max_tile",
+        "fractional_max_tile",
+        "zero_max_tile",
+        "scalar_keep_dims",
+        "scalar_spatial_dims",
+        "pmf_list",
+        "signed_list",
+        "scalar_projection",
+        "short_uniform",
+        "non_numeric_two_point",
+        "non_numeric_delta",
+        "list_layer_name",
+        "fractional_dim",
+        "fractional_bits",
+        "non_numeric_slice_width",
+        "fractional_slice_width",
+        "list_pmf_file",
+        "fractional_table_support",
     ],
 )
 def test_malformed_numbers_exit_two(tmp_path, capsys, fixture, old, new):
@@ -459,34 +502,6 @@ def test_oracle_compare_rejects_padded_mapping(tmp_path, capsys):
     assert "exact tiling" in capsys.readouterr().err
 
 
-def test_jobs_env_sets_the_default(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("CIM_MODEL_JOBS", "soon")
-    rc = main(["search", "--arch", ARCH, "--workload", WORKLOAD])
-    assert rc == 2
-    assert "must be an integer" in capsys.readouterr().err
-
-    monkeypatch.setenv("CIM_MODEL_JOBS", "2")
-    out = tmp_path / "search.json"
-    rc = main(["search", "--arch", ARCH, "--workload", WORKLOAD, "--out", str(out)])
-    assert rc == 0
-    assert json.loads(out.read_text(encoding="utf-8"))["layers"]["tiny"]["valid"] == 47
-
-
-def test_jobs_env_is_read_only_by_search_and_sweep(monkeypatch, capsys):
-    monkeypatch.setenv("CIM_MODEL_JOBS", "soon")
-    assert main(["validate", "--arch", ARCH, "--workload", WORKLOAD]) == 0
-    assert capsys.readouterr().out == "ok\n"
-    with pytest.raises(SystemExit) as exc:
-        main(["--version"])
-    assert exc.value.code == 0
-    assert capsys.readouterr().out.strip() == __version__
-    argv = ["sweep", "--arch", ARCH, "--workload", WORKLOAD]
-    assert main(argv + ["--param", "cell.t_read=1e-8"]) == 2
-    assert "must be an integer" in capsys.readouterr().err
-    # an explicit --jobs wins, so the variable is never read
-    assert main(argv + ["--param", "cell.t_read=1e-8", "--jobs", "1"]) == 0
-
-
 def test_sweep_param_names_must_be_read(capsys):
     argv = ["sweep", "--arch", ARCH, "--workload", CONV_WORKLOAD, "--layer", "fc"]
     argv += ["--budget", "20"]
@@ -516,6 +531,7 @@ def test_sweep_rejects_fractional_meshes_and_nan_attributes(capsys):
         "cell.mesh_x=nan",
         "cell.mesh_y=2,2.9",
         "cell.t_read=nan",
+        "cell.input_slice_width=1.5",
     ):
         assert main(argv + ["--param", param]) == 2, param
         err = capsys.readouterr().err.splitlines()

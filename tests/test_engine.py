@@ -29,7 +29,6 @@ from cimeval.mapping import (
     Loop,
     Mapping,
     MapperConfig,
-    analyze_access_counts,
     enumerate_mappings,
     parse_mapping,
 )
@@ -110,7 +109,7 @@ def test_fast_path_equals_full_evaluation(crossbar_arch):
     ev = LayerEvaluator(crossbar_arch, layer)
     for _, mapping in enumerate_mappings(crossbar_arch, layer, budget=80, seed=3):
         bounds = ev.bounds_of(mapping)
-        assert ev.energy_of_bounds(bounds) == pytest.approx(
+        assert ev.objective_value(bounds, "energy") == pytest.approx(
             ev.evaluate(mapping).energy_j, rel=1e-12
         )
     with pytest.raises(EngineError, match="unknown objective"):
@@ -130,7 +129,7 @@ def test_short_bounds_vector_is_rejected(crossbar_arch, tiny_layer):
     ev = LayerEvaluator(crossbar_arch, tiny_layer)
     short = [1] * (len(ev.slot_table) - 1)
     with pytest.raises(EngineError, match="shorter than the slot table"):
-        ev.energy_of_bounds(short)
+        ev.objective_value(short, "energy")
     with pytest.raises(EngineError, match="shorter than the slot table"):
         ev.objective_value(short, "latency")
 
@@ -230,7 +229,7 @@ attributes:
 
 
 def test_oracle_counts_match_closed_form(crossbar_arch, tiny_layer, tiny_mapping):
-    expected = analyze_access_counts(crossbar_arch, tiny_layer, tiny_mapping)
+    expected = evaluate(crossbar_arch, tiny_layer, tiny_mapping).counts
     got = oracle_evaluate(crossbar_arch, tiny_layer, tiny_mapping, seed=0)
     assert got.counts == expected
     assert got.macs == 4
@@ -243,7 +242,7 @@ def test_oracle_counts_match_on_update_heavy_chain():
     mapping = Mapping.from_dict(
         {"cell": [Loop("M", 2, "spatialX"), Loop("K", 2, "spatialY")]}
     )
-    expected = analyze_access_counts(arch, layer, mapping)
+    expected = evaluate(arch, layer, mapping).counts
     got = oracle_evaluate(arch, layer, mapping, seed=3)
     assert got.counts == expected
     assert got.counts[("buffer", "Outputs", "update")] == 2
@@ -255,7 +254,7 @@ def test_oracle_counts_match_on_hierarchy():
     mapping = Mapping.from_dict(
         {"grid": [Loop("M", 2, "spatialX")], "pe": [Loop("K", 2, "temporal")]}
     )
-    expected = analyze_access_counts(arch, layer, mapping)
+    expected = evaluate(arch, layer, mapping).counts
     got = oracle_evaluate(arch, layer, mapping, seed=1)
     assert got.counts == expected
     assert got.cycles == 2
@@ -343,12 +342,12 @@ def test_oracle_prices_every_mac_on_its_own_operands():
         for n in range(3)
     )
     got = oracle_evaluate(arch, layer, mapping, seed=seed)
-    assert got.counts == analyze_access_counts(arch, layer, mapping)
+    assert got.counts == evaluate(arch, layer, mapping).counts
     assert got.energy_j == expected
 
 
 def test_search_tiny_space_exhaustively(crossbar_arch, tiny_layer):
-    cfg = MapperConfig(objective="energy", budget=1000, seed=0, jobs=1)
+    cfg = MapperConfig(objective="energy", budget=1000, seed=0)
     res = search(crossbar_arch, tiny_layer, cfg)
     assert res is not None
     assert res.space_total == 49
@@ -361,14 +360,15 @@ def test_search_tiny_space_exhaustively(crossbar_arch, tiny_layer):
     assert again.fingerprint == res.fingerprint
 
 
-def test_search_is_worker_count_invariant(crossbar_arch):
+def test_sampled_search_repeats_under_one_config(crossbar_arch):
     layer = parse_workload(BIG_FC)[0]
-    serial = search(crossbar_arch, layer, MapperConfig(budget=200, seed=5, jobs=1))
-    twice = search(crossbar_arch, layer, MapperConfig(budget=200, seed=5, jobs=2))
-    assert serial is not None and twice is not None
-    assert serial.index == twice.index
-    assert serial.valid == twice.valid
-    assert serial.result.energy_j == twice.result.energy_j
+    config = MapperConfig(budget=200, seed=5)
+    first = search(crossbar_arch, layer, config)
+    again = search(crossbar_arch, layer, config)
+    assert first is not None and again is not None
+    assert first.index == again.index
+    assert first.valid == again.valid
+    assert first.result.energy_j == again.result.energy_j
 
 
 def test_search_empty_space_returns_none(tiny_layer):

@@ -28,15 +28,14 @@ from cimeval.mapping import (
     Mapping,
     MappingError,
     MappingSpace,
+    Slot,
     SlotTable,
     _factorizations,
-    analyze_access_counts,
     build_count_plan,
     check_valid,
     enumerate_mappings,
     parse_mapping,
     serialize_mapping,
-    utilization,
 )
 from cimeval.workload import parse_workload
 
@@ -98,16 +97,22 @@ def tiny():
     return parse_workload(read_fixture("workload_tiny.yaml"))[0]
 
 
+def plan_evaluate(arch, layer, mapping):
+    """Counts, cycles and utilization of one mapping from its count plan."""
+    table, plan = build_count_plan(arch, layer)
+    return plan.evaluate(table.bounds_from_mapping(mapping))
+
+
 def counts_for(arch_text, mapping):
     arch = parse_arch(arch_text)
     layer = tiny()
     diag = check_valid(arch, layer, mapping)
     assert diag.ok, diag.errors
-    return analyze_access_counts(arch, layer, mapping)
+    return plan_evaluate(arch, layer, mapping)[0]
 
 
 def test_crossbar_fully_spatial_counts(crossbar_arch, tiny_layer, tiny_mapping):
-    got = analyze_access_counts(crossbar_arch, tiny_layer, tiny_mapping)
+    got = plan_evaluate(crossbar_arch, tiny_layer, tiny_mapping)[0]
     assert got == {
         ("cell", "all", "compute"): 4,
         ("cell", "Weights", "fill"): 4,
@@ -140,7 +145,7 @@ def test_outer_temporal_column_loop(crossbar_arch, tiny_layer):
     mapping = Mapping.from_dict(
         {"buffer": [Loop("M", 2, "temporal")], "cell": [Loop("K", 2, "spatialY")]}
     )
-    got = analyze_access_counts(crossbar_arch, tiny_layer, mapping)
+    got = plan_evaluate(crossbar_arch, tiny_layer, mapping)[0]
     assert got == {
         ("cell", "all", "compute"): 4,
         ("cell", "Weights", "fill"): 4,
@@ -175,7 +180,7 @@ def test_hierarchy_counts_and_cycles():
     )
     diag = check_valid(arch, layer, mapping)
     assert diag.ok and not diag.warnings
-    got = analyze_access_counts(arch, layer, mapping)
+    got, cycles, util = plan_evaluate(arch, layer, mapping)
     assert got == {
         ("pe", "all", "compute"): 4,
         ("pe", "Weights", "fill"): 2,
@@ -188,10 +193,8 @@ def test_hierarchy_counts_and_cycles():
         ("dram", "Outputs", "write"): 2,
         ("dram", "Outputs", "update"): 0,
     }
-    table, plan = build_count_plan(arch, layer)
-    bounds = table.bounds_from_mapping(mapping)
-    assert plan.cycles(bounds) == 2
-    assert plan.utilization(bounds) == pytest.approx(1.0)
+    assert cycles == 2
+    assert util == pytest.approx(1.0)
 
 
 def test_repeated_loops_multiply_into_one_slot(crossbar_arch, tiny_layer):
@@ -200,7 +203,7 @@ def test_repeated_loops_multiply_into_one_slot(crossbar_arch, tiny_layer):
         {"buffer": [Loop("M", 2, "temporal"), Loop("M", 2, "temporal")]}
     )
     bounds = table.bounds_from_mapping(mapping)
-    slot = table.slot_id(0, "temporal", "M")
+    slot = table.slots.index(Slot(0, "temporal", "M"))
     assert bounds[slot] == 4
 
 
@@ -460,7 +463,7 @@ layers:
     mapping = Mapping.from_dict(
         {"cell": [Loop("M", 64, "spatialX"), Loop("K", 64, "spatialY")]}
     )
-    assert utilization(arch, layer, mapping) == pytest.approx(1 / 16)
+    assert plan_evaluate(arch, layer, mapping)[2] == pytest.approx(1 / 16)
 
 
 def test_factorizations_exhaustive():

@@ -50,6 +50,8 @@ def test_pmf_validation():
     with pytest.raises(WorkloadError):
         ValuePMF((0, 1), (-0.1, 1.1))
     with pytest.raises(WorkloadError):
+        ValuePMF((0, 1), (float("nan"), 1.0))  # a NaN mass sums to NaN
+    with pytest.raises(WorkloadError):
         ValuePMF((), ())
 
 
@@ -67,8 +69,18 @@ def test_synth_pmf_forms():
     assert tp.mean() == pytest.approx(0.25)
     assert synth_pmf("delta", 5).support == (5,)
     assert synth_pmf("uniform", [0, 1]).support == (0, 1)
+    assert synth_pmf("two_point", [0, 2.0, 1]).support == (0, 2)
     with pytest.raises(WorkloadError):
         synth_pmf("gauss", [0, 1])
+    for kind, params in (
+        ("uniform", [0]),
+        ("uniform", [0, 2.5]),
+        ("delta", "x"),
+        ("delta", [1, 2]),
+        ("two_point", [0, 1, "0.5"]),
+    ):
+        with pytest.raises(WorkloadError, match="bad .* PMF parameters"):
+            synth_pmf(kind, params)
     with pytest.raises(WorkloadError):
         two_point_pmf(0, 1, 1.5)
     with pytest.raises(WorkloadError):
