@@ -72,9 +72,9 @@ class ArchError(ValueError):
 
 
 def check_numeric(node: str, key: str, value) -> None:
-    """Reject a NUMERIC_ATTRS value that is not a number or is NaN (a NaN
-    prices every action at NaN); infinities are allowed."""
-    if not isinstance(value, (int, float)) or value != value:
+    """Reject a NUMERIC_ATTRS value that is not a number, is a bool or is
+    NaN (a NaN prices every action at NaN); infinities are allowed."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
         raise ArchError(
             f"node {node!r}: attribute {key!r} must be numeric, got {value!r}"
         )
@@ -268,11 +268,14 @@ def _node_from_doc(kind: str, doc: dict) -> ArchNode:
     attributes = doc.get("attributes") or {}
     if not isinstance(attributes, dict):
         raise ArchError(f"node {name!r}: attributes must be a mapping")
+    klass = doc.get("class")
+    if klass is not None and not isinstance(klass, str):
+        raise ArchError(f"node {name!r}: class must be a name, got {klass!r}")
 
     return ArchNode(
         name=str(name),
         kind=kind,
-        klass=doc.get("class"),
+        klass=klass,
         attributes=dict(attributes),
         temporal_reuse=_as_name_tuple(name, "temporal_reuse", doc.get("temporal_reuse")),
         coalesce=_as_name_tuple(name, "coalesce", doc.get("coalesce")),

@@ -82,16 +82,6 @@ def _input_entry(path: str) -> dict:
     return {"path": str(path), "sha256": _sha256(p)}
 
 
-def _load_arch(path: str) -> ArchTree:
-    tree = parse_arch(Path(path).read_text(encoding="utf-8"))
-    errors = validate(tree)
-    if errors:
-        raise _CliError(
-            "architecture validation failed:\n  " + "\n  ".join(errors)
-        )
-    return tree
-
-
 def _load_layers(path: str, layer_name: str | None) -> list[WorkloadLayer]:
     layers = parse_workload(
         Path(path).read_text(encoding="utf-8"), base_dir=Path(path).parent
@@ -107,13 +97,6 @@ def _load_layers(path: str, layer_name: str | None) -> list[WorkloadLayer]:
 
 def _load_mapping(path: str) -> Mapping:
     return parse_mapping(Path(path).read_text(encoding="utf-8"))
-
-
-def _mapping_doc(mapping: Mapping) -> dict:
-    return {
-        node: [{"dim": l.dim, "bound": l.bound, "kind": l.kind} for l in loops]
-        for node, loops in mapping.loops
-    }
 
 
 def _counts_doc(counts: dict) -> dict:
@@ -161,23 +144,32 @@ def _emit_report(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _select_one_layer(layers: list[WorkloadLayer], why: str) -> WorkloadLayer:
-    if len(layers) != 1:
+def _check_arch(arch: ArchTree, layers, failed: str) -> None:
+    """Check the arch on its own, then against each layer; the first
+    failing check raises, prefixed by ``failed``."""
+    errors = validate(arch)
+    for layer in layers:
+        errors = errors or validate(arch, layer)
+    if errors:
+        raise _CliError(f"{failed}:\n  " + "\n  ".join(errors))
+
+
+def _load(args, one: str | None = None):
+    """Parse --arch and --workload and check the arch against each layer
+    --layer selects.  Returns (arch, layers), or with ``one`` (the
+    command's name) (arch, layer) for the single selected layer."""
+    arch = parse_arch(Path(args.arch).read_text(encoding="utf-8"))
+    layers = _load_layers(args.workload, args.layer)
+    if one is not None and len(layers) != 1:
         names = ", ".join(l.name for l in layers)
-        raise _CliError(f"{why} needs --layer to pick one of: {names}")
-    return layers[0]
+        raise _CliError(f"{one} needs --layer to pick one of: {names}")
+    _check_arch(arch, layers, "architecture validation failed")
+    return arch, layers[0] if one else layers
 
 
 def _cmd_evaluate(args) -> int:
-    arch = _load_arch(args.arch)
-    layers = _load_layers(args.workload, args.layer)
-    layer = _select_one_layer(layers, "evaluate")
+    arch, layer = _load(args, "evaluate")
     mapping = _load_mapping(args.mapping)
-    arch_errors = validate(arch, layer)
-    if arch_errors:
-        raise _CliError(
-            "architecture validation failed:\n  " + "\n  ".join(arch_errors)
-        )
     diag = check_valid(arch, layer, mapping)
     if not diag.ok:
         raise _CliError("invalid mapping:\n  " + "\n  ".join(diag.errors))
@@ -192,7 +184,7 @@ def _cmd_evaluate(args) -> int:
             "mapping": _input_entry(args.mapping),
         },
         "layer": layer.name,
-        "mapping": _mapping_doc(mapping),
+        "mapping": mapping.to_doc(),
         "metrics": _metrics_doc(res),
         "counts": _counts_doc(res.counts),
         "breakdown": _breakdown_doc(res.breakdown),
@@ -204,8 +196,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    arch = _load_arch(args.arch)
-    layers = _load_layers(args.workload, args.layer)
+    arch, layers = _load(args)
     if args.dump_mapping and len(layers) != 1:
         raise _CliError("--dump-mapping needs --layer with multi-layer workloads")
     config = MapperConfig(
@@ -215,22 +206,17 @@ def _cmd_search(args) -> int:
     totals = {"energy_j": 0.0, "latency_s": 0.0, "macs": 0}
     area = None
     for layer in layers:
-        arch_errors = validate(arch, layer)
-        if arch_errors:
-            raise _CliError(
-                "architecture validation failed:\n  " + "\n  ".join(arch_errors)
-            )
         found = engine_search(arch, layer, config)
         if found is None:
-            sys.stderr.write(
-                f"error: no valid mapping for layer {layer.name!r} "
-                f"within budget {args.budget}\n"
+            raise _CliError(
+                f"no valid mapping for layer {layer.name!r} "
+                f"within budget {args.budget}",
+                EXIT_EMPTY,
             )
-            return EXIT_EMPTY
         res = found.result
         per_layer[layer.name] = {
             "best_index": found.index,
-            "best_mapping": _mapping_doc(found.mapping),
+            "best_mapping": found.mapping.to_doc(),
             "metrics": _metrics_doc(res),
             "evaluated": found.evaluated,
             "valid": found.valid,
@@ -319,8 +305,7 @@ def _apply_param(arch: ArchTree, path: str, value) -> ArchTree:
 
 
 def _cmd_sweep(args) -> int:
-    arch = _load_arch(args.arch)
-    layers = _load_layers(args.workload, args.layer)
+    arch, layers = _load(args)
     params = [_parse_param(spec) for spec in args.param]
     if not params:
         raise _CliError("sweep needs at least one --param")
@@ -348,19 +333,14 @@ def _cmd_sweep(args) -> int:
         point = arch
         for path, values in params:
             point = _apply_param(point, path, values[k])
-        point_errors = validate(point)
-        if point_errors:
-            raise _CliError(
-                f"sweep point {k} invalid:\n  " + "\n  ".join(point_errors)
-            )
+        _check_arch(point, layers, f"sweep point {k} invalid")
         for layer in layers:
             found = engine_search(point, layer, config)
             if found is None:
-                sys.stderr.write(
-                    f"error: no valid mapping at sweep point {k} "
-                    f"for layer {layer.name!r}\n"
+                raise _CliError(
+                    f"no valid mapping at sweep point {k} for layer {layer.name!r}",
+                    EXIT_EMPTY,
                 )
-                return EXIT_EMPTY
             res = found.result
             writer.writerow(
                 [layer.name]
@@ -382,9 +362,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle_compare(args) -> int:
-    arch = _load_arch(args.arch)
-    layers = _load_layers(args.workload, args.layer)
-    layer = _select_one_layer(layers, "oracle-compare")
+    arch, layer = _load(args, "oracle-compare")
     mapping = _load_mapping(args.mapping)
     res = engine_evaluate(arch, layer, mapping)
     oracle = oracle_evaluate(arch, layer, mapping, seed=args.seed)
@@ -441,12 +419,16 @@ def _cmd_validate(args) -> int:
     layers: list[WorkloadLayer] = []
     if args.workload:
         layers = _load_layers(args.workload, args.layer)
-    if layers:
-        for layer in layers:
-            problems += [
-                f"[{layer.name}] {e}" for e in validate(arch, layer)
-            ]
-    else:
+    for layer in layers:
+        errors = validate(arch, layer)
+        if not errors:
+            # build what evaluate builds: the count plan, energy table, area
+            try:
+                LayerEvaluator(arch, layer)
+            except _INPUT_ERRORS as e:
+                errors = [str(e)]
+        problems += [f"[{layer.name}] {e}" for e in errors]
+    if not layers:
         problems += validate(arch)
     if args.mapping:
         if not layers:

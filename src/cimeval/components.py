@@ -7,13 +7,12 @@ the same per-value kernels are reused by the brute-force oracle through
 oracle_energy.
 
 Registered classes: reram_cell, sram_cell, dac, adc, buffer, adder, wire
-(router is an alias of wire).  register_model adds plug-ins keyed by the
-architecture `class:` string.
+(router is an alias of wire).  DEFAULT_REGISTRY.register adds plug-ins keyed
+by the architecture `class:` string.
 """
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -22,14 +21,12 @@ from .valuemodel import (
     Encoding,
     PhysicalMap,
     SliceScheme,
-    ValueModelError,
     encode_value,
     encode_value_companion,
     expected_moment,
-    slice_level,
     switching_rate,
 )
-from .workload import ValuePMF
+from .workload import MAX_BITS, ValuePMF, as_integer
 
 # Walden figure of merit, J per conversion step.
 DEFAULT_ADC_FOM = 10e-15
@@ -88,45 +85,61 @@ def _slice_widths(ctx: ActionContext, role: str) -> tuple[int, ...]:
     return scheme.widths
 
 
+def _two_lines(ctx: ActionContext, role: str) -> bool:
+    """Whether a role drives a second (negative) device line."""
+    enc = ctx.encodings.get(role)
+    return enc is not None and enc.kind == "differential"
+
+
+def _line_sum(ctx: ActionContext, role: str, moment) -> float:
+    """Sum moment(pmf, width) over a role's slices, then over its companion
+    slices when the role drives a second line."""
+    widths = _slice_widths(ctx, role)
+    total = 0.0
+    for pmf, width in zip(ctx.role_slices(role), widths):
+        total += moment(pmf, width)
+    if _two_lines(ctx, role):
+        for pmf, width in zip(ctx.companions.get(role, ()), widths):
+            total += moment(pmf, width)
+    return total
+
+
 def memcell_read_energy(ctx: ActionContext) -> float:
     """Average read energy of one cell access: G_avg * V_avg^2 * t_read.
 
     Input slices map to voltages, weight slices to conductances; slice
     averages follow from each slice being equally likely per access.  A
-    differential weight line adds the companion population's conductance.
+    second weight line adds the companion population's conductance.
     """
     t_read = float(ctx.attr("t_read"))
     vdd = float(ctx.attributes.get("vdd", 1.0))
     g_min = float(ctx.attributes.get("g_min", 0.0))
     g_max = float(ctx.attr("g_max"))
 
-    in_slices = ctx.role_slices("Inputs")
-    in_widths = _slice_widths(ctx, "Inputs")
-    v2 = 0.0
-    for pmf, width in zip(in_slices, in_widths):
-        vmap = PhysicalMap.voltage(vdd=vdd, levels=1 << width)
-        v2 += expected_moment(pmf, vmap, power=2)
-    in_comp = ctx.companions.get("Inputs")
-    if in_comp and ctx.encodings.get("Inputs", Encoding("offset", 8)).kind == "differential":
-        for pmf, width in zip(in_comp, in_widths):
-            vmap = PhysicalMap.voltage(vdd=vdd, levels=1 << width)
-            v2 += expected_moment(pmf, vmap, power=2)
-    v2 /= len(in_slices)
-
-    w_slices = ctx.role_slices("Weights")
-    w_widths = _slice_widths(ctx, "Weights")
-    g = 0.0
-    for pmf, width in zip(w_slices, w_widths):
-        gmap = PhysicalMap.conductance(g_min=g_min, g_max=g_max, levels=1 << width)
-        g += expected_moment(pmf, gmap, power=1)
-    w_comp = ctx.companions.get("Weights")
-    if w_comp and ctx.encodings.get("Weights", Encoding("offset", 8)).kind == "differential":
-        for pmf, width in zip(w_comp, w_widths):
-            gmap = PhysicalMap.conductance(g_min=g_min, g_max=g_max, levels=1 << width)
-            g += expected_moment(pmf, gmap, power=1)
-    g /= len(w_slices)
-
+    v2 = _line_sum(
+        ctx,
+        "Inputs",
+        lambda pmf, w: expected_moment(
+            pmf, PhysicalMap.voltage(vdd=vdd, levels=1 << w), power=2
+        ),
+    )
+    v2 /= len(ctx.role_slices("Inputs"))
+    g = _line_sum(
+        ctx,
+        "Weights",
+        lambda pmf, w: expected_moment(
+            pmf, PhysicalMap.conductance(g_min=g_min, g_max=g_max, levels=1 << w)
+        ),
+    )
+    g /= len(ctx.role_slices("Weights"))
     return g * v2 * t_read
+
+
+def _dac_model(ctx: ActionContext) -> str:
+    model = ctx.attributes.get("model", "value_proportional")
+    if model not in ("value_proportional", "switching"):
+        raise ComponentError(f"node {ctx.node!r}: unknown DAC model {model!r}")
+    return model
 
 
 def dac_convert_energy(ctx: ActionContext) -> float:
@@ -135,53 +148,43 @@ def dac_convert_energy(ctx: ActionContext) -> float:
     model=value_proportional scales e_full_scale by E[level]/(levels-1);
     model=switching scales it by the mean fraction of set bits.
     """
-    model = ctx.attributes.get("model", "value_proportional")
     e_fs = float(ctx.attr("e_full_scale"))
-    slices = ctx.role_slices("Inputs")
-    widths = _slice_widths(ctx, "Inputs")
-    populations = [slices]
-    comp = ctx.companions.get("Inputs")
-    if comp and ctx.encodings.get("Inputs", Encoding("offset", 8)).kind == "differential":
-        populations.append(comp)
+    if _dac_model(ctx) == "value_proportional":
+        total = _line_sum(ctx, "Inputs", lambda pmf, w: pmf.mean() / ((1 << w) - 1))
+    else:
+        total = _line_sum(ctx, "Inputs", switching_rate)
+    return e_fs * total / len(ctx.role_slices("Inputs"))
 
-    total = 0.0
-    for pop in populations:
-        for pmf, width in zip(pop, widths):
-            if model == "value_proportional":
-                levels = 1 << width
-                total += pmf.mean() / (levels - 1) if levels > 1 else float(pmf.mean())
-            elif model == "switching":
-                total += switching_rate(pmf, width)
-            else:
-                raise ComponentError(f"node {ctx.node!r}: unknown DAC model {model!r}")
-    return e_fs * total / len(slices)
+
+def _adc_levels(attributes: dict, node: str) -> int:
+    """2^resolution, for an integer resolution in [1, MAX_BITS]."""
+    if "resolution" not in attributes:
+        raise ComponentError(f"node {node!r}: missing required attribute 'resolution'")
+    bits = as_integer(attributes["resolution"])
+    if bits is None or not 1 <= bits <= MAX_BITS:
+        raise ComponentError(
+            f"node {node!r}: ADC resolution must be a positive integer of at "
+            f"most {MAX_BITS} bits, got {attributes['resolution']!r}"
+        )
+    return 1 << bits
 
 
 def adc_convert_energy(attributes: dict, node: str = "adc") -> float:
     """Walden-style conversion energy: FOM * 2^resolution."""
-    if "resolution" not in attributes:
-        raise ComponentError(f"node {node!r}: missing required attribute 'resolution'")
-    bits = int(attributes["resolution"])
-    if bits <= 0:
-        raise ComponentError(f"node {node!r}: ADC resolution must be positive")
     fom = float(attributes.get("fom", DEFAULT_ADC_FOM))
-    return fom * (1 << bits)
+    return fom * _adc_levels(attributes, node)
 
 
 def adc_area(attributes: dict, node: str = "adc") -> float:
     """ADC area: a0 + a1 * 2^resolution + a2 * sample_rate."""
-    if "resolution" not in attributes:
-        raise ComponentError(f"node {node!r}: missing required attribute 'resolution'")
-    bits = int(attributes["resolution"])
-    if bits <= 0:
-        raise ComponentError(f"node {node!r}: ADC resolution must be positive")
+    levels = _adc_levels(attributes, node)
     f_s = float(attributes.get("sample_rate", 0.0))
     if "sample_rate" in attributes and f_s <= 0:
         raise ComponentError(f"node {node!r}: sample_rate must be positive")
     a0 = float(attributes.get("adc_a0", DEFAULT_ADC_A0))
     a1 = float(attributes.get("adc_a1", DEFAULT_ADC_A1))
     a2 = float(attributes.get("adc_a2", DEFAULT_ADC_A2))
-    return a0 + a1 * (1 << bits) + a2 * f_s
+    return a0 + a1 * levels + a2 * f_s
 
 
 def buffer_access_energy(ctx: ActionContext) -> float:
@@ -191,10 +194,6 @@ def buffer_access_energy(ctx: ActionContext) -> float:
 
 def adder_energy(ctx: ActionContext) -> float:
     return float(ctx.attr("e_per_add"))
-
-
-def wire_energy(ctx: ActionContext) -> float:
-    return float(ctx.attr("e_per_bit")) * float(ctx.attr("width"))
 
 
 class ComponentModel(ABC):
@@ -228,15 +227,15 @@ def _mean_slice_quantity(value: int, ctx: ActionContext, role: str, per_slice) -
     """Average per_slice(slice_level, width) over the slices of one value."""
     enc = ctx.encodings[role]
     widths = _slice_widths(ctx, role)
-    scheme = ctx.schemes.get(role) or SliceScheme((enc.bits,))
     levels = [encode_value(int(value), enc)]
-    if enc.kind == "differential":
+    if _two_lines(ctx, role):
         levels.append(encode_value_companion(int(value), enc))
     total = 0.0
     for lvl in levels:
-        for s, width in zip(slice_level(lvl, scheme), widths):
-            total += per_slice(s, width)
-    return total / len(scheme.widths)
+        for width in widths:
+            total += per_slice(lvl & ((1 << width) - 1), width)
+            lvl >>= width
+    return total / len(widths)
 
 
 class MemoryCellModel(ComponentModel):
@@ -303,22 +302,12 @@ class DacModel(ComponentModel):
     def oracle_energy(self, action: str, ctx: ActionContext, values: dict[str, int]) -> float:
         if action != "convert" or "Inputs" not in values:
             return self.energy_per_action(action, ctx)
-        model = ctx.attributes.get("model", "value_proportional")
         e_fs = float(ctx.attr("e_full_scale"))
-        if model == "value_proportional":
-            frac = _mean_slice_quantity(
-                values["Inputs"],
-                ctx,
-                "Inputs",
-                lambda lvl, w: lvl / ((1 << w) - 1) if w > 0 and (1 << w) > 1 else float(lvl),
-            )
-        elif model == "switching":
-            frac = _mean_slice_quantity(
-                values["Inputs"], ctx, "Inputs", lambda lvl, w: lvl.bit_count() / w
-            )
+        if _dac_model(ctx) == "value_proportional":
+            per_slice = lambda lvl, w: lvl / ((1 << w) - 1)
         else:
-            raise ComponentError(f"node {ctx.node!r}: unknown DAC model {model!r}")
-        return e_fs * frac
+            per_slice = lambda lvl, w: lvl.bit_count() / w
+        return e_fs * _mean_slice_quantity(values["Inputs"], ctx, "Inputs", per_slice)
 
 
 class AdcModel(ComponentModel):
@@ -351,8 +340,8 @@ class AdderModel(ComponentModel):
 class WireModel(ComponentModel):
     def energy_per_action(self, action: str, ctx: ActionContext) -> float:
         if action == "update":
-            return 2.0 * wire_energy(ctx)
-        return wire_energy(ctx)
+            return 2.0 * buffer_access_energy(ctx)
+        return buffer_access_energy(ctx)
 
 
 class ModelRegistry:
@@ -394,11 +383,3 @@ def _default_registry() -> ModelRegistry:
 
 DEFAULT_REGISTRY = _default_registry()
 
-
-def register_model(name: str, model: ComponentModel, override: bool = False) -> None:
-    """Register a plug-in model in the shared default registry."""
-    DEFAULT_REGISTRY.register(name, model, override=override)
-
-
-def get_model(name: str) -> ComponentModel:
-    return DEFAULT_REGISTRY.get(name)

@@ -645,8 +645,7 @@ def oracle_evaluate(
                 add_count(t, "convert", demand, per_value=True)
                 return
             if d == COALESCE:
-                verb = str(node.attributes.get("action_verb", "compute"))
-                add_count(t, verb, demand, per_value=True)
+                add_count(t, "compute", demand, per_value=True)
                 if emitting:
                     demand = tile_ids(t)
                 else:

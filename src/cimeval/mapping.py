@@ -78,6 +78,14 @@ class Mapping:
             items.append((str(node), tuple(loops)))
         return cls(tuple(items))
 
+    def to_doc(self) -> dict:
+        """node -> [{dim, bound, kind}, ...] in mapping order, the form the
+        YAML file and the reports use."""
+        return {
+            node: [{"dim": l.dim, "bound": l.bound, "kind": l.kind} for l in loops]
+            for node, loops in self.loops
+        }
+
     def node_loops(self, name: str) -> tuple[Loop, ...]:
         for node, loops in self.loops:
             if node == name:
@@ -305,8 +313,7 @@ def _role_chain_entries(
             add(t, "convert", demand)
             return demand
         if d == COALESCE:
-            verb = nodes[t].attributes.get("action_verb", "compute")
-            add(t, str(verb), demand)
+            add(t, "compute", demand)
             if is_output:
                 return tile_demand(t)
             return sel(
@@ -601,15 +608,20 @@ def _factorizations(
 
 
 def _divisors(n: int) -> list[int]:
-    ds = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            ds.append(i)
-            if i != n // i:
-                ds.append(n // i)
-        i += 1
-    return ds
+    """Divisors of n, built from its prime factors; trial division stops at
+    the square root of what is left, so a size with small factors costs
+    little however large it is."""
+    ds = [1]
+    p = 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            ds = [d * p**j for d in ds for j in range(e + 1)]
+        p += 1
+    return ds if n == 1 else ds + [d * n for d in ds]
 
 
 class MappingSpace:
@@ -873,9 +885,4 @@ def parse_mapping(text: str) -> Mapping:
 
 
 def serialize_mapping(mapping: Mapping) -> str:
-    body = {}
-    for node, loops in mapping.loops:
-        body[node] = [
-            {"dim": l.dim, "bound": l.bound, "kind": l.kind} for l in loops
-        ]
-    return yaml.safe_dump({"nodes": body}, sort_keys=False)
+    return yaml.safe_dump({"nodes": mapping.to_doc()}, sort_keys=False)

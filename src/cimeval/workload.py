@@ -22,6 +22,9 @@ ROLES = ("Inputs", "Weights", "Outputs")
 # Tolerance on total probability mass.
 PROB_TOL = 1e-9
 
+# Widest bit count a model prices: 2^1024 is past the largest float.
+MAX_BITS = 1023
+
 
 class WorkloadError(ValueError):
     """Malformed workload document or inconsistent layer data."""
@@ -206,8 +209,10 @@ class WorkloadLayer:
         for role in ROLES:
             if role not in self.bits:
                 raise WorkloadError(f"layer {self.name!r}: missing bit width for {role}")
-            if self.bits[role] < 1:
-                raise WorkloadError(f"layer {self.name!r}: {role} bit width must be >= 1")
+            if not 1 <= self.bits[role] <= MAX_BITS:
+                raise WorkloadError(
+                    f"layer {self.name!r}: {role} bit width must be in [1, {MAX_BITS}]"
+                )
         for role, pmf in self.pmfs.items():
             if role not in ROLES:
                 raise WorkloadError(f"layer {self.name!r}: PMF for unknown role {role!r}")
@@ -367,10 +372,13 @@ def parse_workload(text: str, base_dir: str | Path | None = None) -> list[Worklo
             str(r): _parse_pmf_spec(spec, base)
             for r, spec in _as_map(name, "pmf", raw.get("pmf") or {}).items()
         }
-        signed = {
-            str(r): bool(v)
-            for r, v in _as_map(name, "signed", raw.get("signed") or {}).items()
-        }
+        signed = {}
+        for r, v in _as_map(name, "signed", raw.get("signed") or {}).items():
+            if not isinstance(v, bool):
+                raise WorkloadError(
+                    f"layer {name!r}: signed of {r!r} must be true or false, got {v!r}"
+                )
+            signed[str(r)] = v
         layers.append(
             WorkloadLayer(name=name, einsum=einsum, bits=bits, pmfs=pmfs, signed=signed)
         )

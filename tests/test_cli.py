@@ -1,10 +1,16 @@
 """End-to-end exercises for the cimeval command line."""
 
+import contextlib
 import hashlib
+import io
 import json
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cimeval import MappingSpace, __version__, parse_arch, parse_workload
 from cimeval.cli import main
@@ -193,6 +199,15 @@ def test_broken_architecture_exits_two(tmp_path, capsys):
         ("arch_crossbar.yaml", "  vdd: 1.0\n", "  vdd: 1.0\n  input_slice_width: 1.5\n"),
         ("workload_tiny.yaml", "{delta: 1}", "{file: [x]}"),
         ("workload_tiny.yaml", "{delta: 1}", "{support: [1.5], probs: [1.0]}"),
+        ("arch_crossbar.yaml", "resolution: 8", "resolution: 4.5"),
+        ("arch_crossbar.yaml", "resolution: 8", "resolution: true"),
+        ("arch_crossbar.yaml", "resolution: 8", "resolution: .inf"),
+        ("arch_crossbar.yaml", "resolution: 8", "resolution: 99999999999999999999"),
+        ("arch_crossbar.yaml", "t_read: 10.0e-9", "t_read: true"),
+        ("workload_tiny.yaml", _TINY_BITS, _TINY_BITS + '    signed: {Inputs: "false"}\n'),
+        ("arch_crossbar.yaml", "class: adc", "class: [1]"),
+        ("arch_crossbar.yaml", "class: adc", "class: {a: 1}"),
+        ("workload_tiny.yaml", "bits: {Inputs: 1,", "bits: {Inputs: 99999999999999999999,"),
     ],
     ids=[
         "non_numeric_attribute",
@@ -218,6 +233,15 @@ def test_broken_architecture_exits_two(tmp_path, capsys):
         "fractional_slice_width",
         "list_pmf_file",
         "fractional_table_support",
+        "fractional_resolution",
+        "bool_resolution",
+        "infinite_resolution",
+        "huge_resolution",
+        "bool_attribute",
+        "quoted_signed",
+        "list_class",
+        "map_class",
+        "huge_bits",
     ],
 )
 def test_malformed_numbers_exit_two(tmp_path, capsys, fixture, old, new):
@@ -255,6 +279,31 @@ def test_validate_happy_paths(capsys):
     )
     assert rc == 0
     assert capsys.readouterr().out == "ok\n"
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("  vdd: 1.0\n", "  vdd: 1.0\n  input_slice_width: x\n"),
+        ("  vdd: 1.0\n", "  vdd: 1.0\n  weight_encoding: foo\n"),
+        ("model: value_proportional", "model: foo"),
+        ("resolution: 8", "resolution: 8\n  sample_rate: -1"),
+        ("resolution: 8", "resolution: 4.5"),
+    ],
+    ids=["slice_width", "encoding", "dac_model", "sample_rate", "resolution"],
+)
+def test_validate_reports_what_evaluate_rejects(tmp_path, capsys, old, new):
+    text = read_fixture("arch_crossbar.yaml")
+    assert old in text
+    bad = tmp_path / "arch.yaml"
+    bad.write_text(text.replace(old, new))
+    rc = main(["validate", "--arch", str(bad), "--workload", WORKLOAD])
+    out = capsys.readouterr().out
+    assert rc == 2
+    assert out.startswith("error: [tiny] ") and out.count("\n") == 1
+    argv = ["evaluate", "--arch", str(bad), "--workload", WORKLOAD]
+    assert main(argv + ["--mapping", MAPPING]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_validate_mapping_needs_workload(capsys):
@@ -377,6 +426,33 @@ def test_search_empty_space_exits_three(tmp_path, capsys):
     rc = main(["search", "--arch", str(arch), "--workload", WORKLOAD])
     assert rc == 3
     assert "no valid mapping for layer 'tiny'" in capsys.readouterr().err
+
+
+def test_sweep_point_without_a_valid_mapping_exits_three(tmp_path, capsys):
+    pinned = read_fixture("arch_crossbar.yaml").replace(
+        _BUFFER_REUSE, _CONSTRAINED + "{max_tile: {M: 1}}\n"
+    )
+    arch = tmp_path / "pinned.yaml"
+    arch.write_text(pinned)
+    argv = ["sweep", "--arch", str(arch), "--workload", WORKLOAD]
+    assert main(argv + ["--param", "cell.t_read=1.0e-8"]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: no valid mapping at sweep point 0 for layer 'tiny'\n"
+
+
+@pytest.mark.parametrize("command", ["search", "sweep"])
+def test_sweep_checks_the_arch_against_each_layer_as_search_does(
+    tmp_path, capsys, command
+):
+    arch = tmp_path / "arch.yaml"
+    arch.write_text(
+        read_fixture("arch_crossbar.yaml") + "constraints: {keep_dims: [Z]}\n"
+    )
+    argv = [command, "--arch", str(arch), "--workload", WORKLOAD]
+    assert main(argv + ["--param", "cell.mesh_x=2"] * (command == "sweep")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: architecture validation failed")
+    assert "unknown dims ['Z']" in err
 
 
 def test_sweep_csv_schema_and_energies(tmp_path):
@@ -619,3 +695,56 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == __version__
+
+
+FUZZ_FILES = ("arch_crossbar.yaml", "workload_tiny.yaml", "mapping_tiny.yaml")
+FUZZ_TOKENS = (
+    "foo", "true", ".nan", ".inf", "-1", "0", "1.5",
+    "99999999999999999999", "[1]", "{a: 1}", "null",
+)
+# a scalar value: after "key: ", "[" or ", "
+_SCALAR = re.compile(r"(?:(?<=: )|(?<=\[)|(?<=, ))[^\s,\[\]{}]+")
+
+
+def _uncommented(name: str) -> str:
+    return "".join(
+        line for line in read_fixture(name).splitlines(True)
+        if not line.startswith("#")
+    )
+
+
+FUZZ_TEXTS = {name: _uncommented(name) for name in FUZZ_FILES}
+FUZZ_SITES = [
+    (name, m.span()) for name in FUZZ_FILES for m in _SCALAR.finditer(FUZZ_TEXTS[name])
+]
+
+
+@given(
+    st.sampled_from(FUZZ_SITES),
+    st.sampled_from(FUZZ_TOKENS),
+    st.sampled_from(("evaluate", "search", "sweep", "oracle-compare", "validate")),
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_one_replaced_value_exits_with_a_known_code(site, token, command):
+    name, (start, end) = site
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {f: Path(tmp) / f for f in FUZZ_FILES}
+        for f, text in FUZZ_TEXTS.items():
+            if f == name:
+                text = text[:start] + token + text[end:]
+            paths[f].write_text(text, encoding="utf-8")
+        argv = [command, "--arch", str(paths[FUZZ_FILES[0]])]
+        argv += ["--workload", str(paths[FUZZ_FILES[1]])]
+        if command in ("evaluate", "oracle-compare", "validate"):
+            argv += ["--mapping", str(paths[FUZZ_FILES[2]])]
+        if command in ("search", "sweep"):
+            argv += ["--budget", "50"]
+        if command == "sweep":
+            argv += ["--param", "cell.t_read=1.0e-8"]
+        if command != "validate":
+            argv += ["--out", str(Path(tmp) / "report")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    assert rc in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()

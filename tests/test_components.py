@@ -18,11 +18,18 @@ from cimeval.components import (
     DEFAULT_ADC_FOM,
     DEFAULT_REGISTRY,
     dac_convert_energy,
-    get_model,
     memcell_read_energy,
 )
+from cimeval.archspec import parse_arch
+from cimeval.engine import build_action_context
 from cimeval.valuemodel import Encoding, SliceScheme
-from cimeval.workload import ValuePMF, delta_pmf, two_point_pmf, uniform_pmf
+from cimeval.workload import (
+    ValuePMF,
+    delta_pmf,
+    parse_workload,
+    two_point_pmf,
+    uniform_pmf,
+)
 
 T_READ = 10e-9
 G_MIN = 1e-6
@@ -113,6 +120,47 @@ def test_memcell_oracle_energy_matches_average_over_support():
     # with a value missing the oracle falls back to the population average
     fallback = model.oracle_energy("compute", ctx, {"Weights": 1})
     assert fallback == model.energy_per_action("compute", ctx)
+
+
+DIFF_INPUT_LAYER = """
+layers:
+  - name: diff
+    dims: {M: 2, K: 2}
+    projections: {Inputs: [K], Weights: [K, M], Outputs: [M]}
+    bits: {Inputs: 4, Weights: 2, Outputs: 8}
+    pmf: {Inputs: {uniform: [-8, 7]}, Weights: {uniform: [0, 3]}}
+"""
+
+
+@pytest.mark.parametrize("dac_model", ["value_proportional", "switching"])
+def test_differential_input_oracle_energy_matches_average_over_support(dac_model):
+    # 4-bit differential inputs in (3, 1) slices: both lines drive the cell
+    # and both convert at the DAC
+    datapath = "input_encoding: differential, input_slice_width: 3"
+    cell_node, dac_node = parse_arch(
+        "--- !Component\nname: dac\nclass: dac\nattributes: "
+        f"{{e_full_scale: 1.0e-12, model: {dac_model}, {datapath}}}\n"
+        "--- !Component\nname: cell\nclass: reram_cell\nattributes: "
+        f"{{t_read: 1.0e-8, g_min: 1.0e-6, g_max: 4.0e-6, {datapath}}}\n"
+    ).nodes[::-1]
+    layer = parse_workload(DIFF_INPUT_LAYER)[0]
+    ctx = build_action_context(cell_node, layer)
+    assert len(ctx.companions["Inputs"]) == 2
+    cell = MemoryCellModel()
+    per_point = [
+        cell.oracle_energy("compute", ctx, {"Inputs": x, "Weights": y})
+        for x in range(-8, 8)
+        for y in range(4)
+    ]
+    avg = sum(per_point) / len(per_point)
+    # abs=0: pytest.approx would otherwise pass any two values within 1e-12 J
+    assert avg == pytest.approx(cell.energy_per_action("compute", ctx), rel=1e-12, abs=0)
+
+    dctx = build_action_context(dac_node, layer)
+    dac = DacModel()
+    per_value = [dac.oracle_energy("convert", dctx, {"Inputs": x}) for x in range(-8, 8)]
+    avg = sum(per_value) / len(per_value)
+    assert avg == pytest.approx(dac.energy_per_action("convert", dctx), rel=1e-12, abs=0)
 
 
 def test_dac_value_proportional_and_switching():
@@ -228,11 +276,11 @@ def test_area_and_leakage_defaults():
 
 
 def test_registry_lookup_and_override():
-    assert isinstance(get_model("reram_cell"), MemoryCellModel)
-    assert isinstance(get_model("router"), WireModel)
+    assert isinstance(DEFAULT_REGISTRY.get("reram_cell"), MemoryCellModel)
+    assert isinstance(DEFAULT_REGISTRY.get("router"), WireModel)
     assert "sram_cell" in DEFAULT_REGISTRY.known()
     with pytest.raises(ComponentError, match="no model registered"):
-        get_model("optical_cell")
+        DEFAULT_REGISTRY.get("optical_cell")
 
     reg = ModelRegistry()
     reg.register("dac", DacModel())

@@ -10,9 +10,9 @@ from cimeval.archspec import parse_arch
 from cimeval.components import (
     AdcModel,
     ComponentError,
+    DEFAULT_REGISTRY,
     DacModel,
     ModelRegistry,
-    get_model,
 )
 from cimeval.engine import (
     EngineError,
@@ -260,6 +260,61 @@ def test_oracle_counts_match_on_hierarchy():
     assert got.cycles == 2
 
 
+# the leaf keeps its own Outputs (temporal_reuse), below a buffer and a
+# 2x2 container
+ARCH_LEAF_KEEPS_OUTPUTS = """
+--- !Component
+name: buffer
+class: buffer
+temporal_reuse: [Inputs, Weights, Outputs]
+attributes: {e_per_bit: 1.0e-15, width: 8}
+--- !Container
+name: grid
+spatial: {meshX: 2, meshY: 2}
+--- !Component
+name: pe
+class: wire
+temporal_reuse: [Outputs]
+attributes: {e_per_bit: 2.0e-15, width: 8}
+"""
+
+LAYER_M4_K6_N2 = """
+layers:
+  - name: mkn
+    dims: {M: 4, K: 6, N: 2}
+    projections: {Inputs: [K, N], Weights: [K, M], Outputs: [M, N]}
+    bits: {Inputs: 2, Weights: 2, Outputs: 8}
+    pmf: {Inputs: {uniform: [0, 3]}, Weights: {uniform: [0, 3]}}
+"""
+
+
+def test_oracle_counts_match_when_the_leaf_keeps_outputs():
+    arch = parse_arch(ARCH_LEAF_KEEPS_OUTPUTS)
+    layer = parse_workload(LAYER_M4_K6_N2)[0]
+    mappings = [m for _, m in enumerate_mappings(arch, layer, budget=150, seed=0)]
+    assert len(mappings) >= 50
+    updates = 0
+    for mapping in mappings[:50]:
+        expected = evaluate(arch, layer, mapping).counts
+        assert oracle_evaluate(arch, layer, mapping, seed=0).counts == expected
+        updates += expected[("pe", "Outputs", "update")]
+    assert updates > 0
+
+
+def test_slice_width_that_does_not_divide_the_bit_width():
+    node = parse_arch(
+        "--- !Component\nname: c\nclass: reram_cell\n"
+        "attributes: {t_read: 1.0e-9, g_max: 1.0e-6, input_slice_width: 3}"
+    ).leaf
+    layer = parse_workload(
+        DELTA_TINY.replace("Inputs: 1, Weights: 1", "Inputs: 8, Weights: 1")
+    )[0]
+    ctx = build_action_context(node, layer)
+    assert ctx.schemes["Inputs"].widths == (3, 3, 2)
+    # input 1 is level 1: only the lowest slice is set
+    assert [s.support for s in ctx.slices["Inputs"]] == [(1,), (0,), (0,)]
+
+
 def test_oracle_energy_is_exact_for_deterministic_values(crossbar_arch, tiny_mapping):
     layer = parse_workload(DELTA_TINY)[0]
     model = evaluate(crossbar_arch, layer, tiny_mapping)
@@ -327,7 +382,7 @@ def test_oracle_prices_every_mac_on_its_own_operands():
     seed = 5
     tensors = draw_tensors(layer, seed)
     ctx = build_action_context(arch.leaf, layer)
-    cell = get_model("reram_cell")
+    cell = DEFAULT_REGISTRY.get("reram_cell")
     expected = math.fsum(
         cell.oracle_energy(
             "compute",
@@ -414,7 +469,7 @@ def test_plugin_model_changes_the_price(crossbar_arch, tiny_layer, tiny_mapping)
 
     reg = ModelRegistry()
     for name in ("buffer", "adder", "adc", "reram_cell"):
-        reg.register(name, get_model(name))
+        reg.register(name, DEFAULT_REGISTRY.get(name))
     reg.register("dac", FlatDac())
     res = evaluate(crossbar_arch, tiny_layer, tiny_mapping, registry=reg)
     assert res.energy_j == pytest.approx(
@@ -440,7 +495,7 @@ class _OutputsProbe(AdcModel):
 def _probe_registry(probe):
     reg = ModelRegistry()
     for name in ("buffer", "adder", "dac", "reram_cell"):
-        reg.register(name, get_model(name))
+        reg.register(name, DEFAULT_REGISTRY.get(name))
     reg.register("adc", probe)
     return reg
 

@@ -30,6 +30,7 @@ from cimeval.mapping import (
     MappingSpace,
     Slot,
     SlotTable,
+    _divisors,
     _factorizations,
     build_count_plan,
     check_valid,
@@ -472,6 +473,16 @@ def test_factorizations_exhaustive():
     assert all(a * b * c == 8 for a, b, c in fs)
     assert len(set(fs)) == len(fs)
     assert _factorizations(1, 4) == [(1, 1, 1, 1)]
+
+
+def test_divisors_come_from_prime_factors():
+    for n in range(1, 1200):
+        assert sorted(_divisors(n)) == [d for d in range(1, n + 1) if n % d == 0]
+    # 3^2 * 11 * 41 * 101 * 271 * 3541 * 9091 * 27961: no trial division
+    # up to the square root of the whole number
+    big = _divisors(99999999999999999999)
+    assert len(big) == 3 * 2**7 and len(set(big)) == len(big)
+    assert all(99999999999999999999 % d == 0 for d in big)
 
 
 @given(
