@@ -9,10 +9,11 @@ CountPlan.  Evaluating one mapping then reduces to a few dozen multiplies,
 which is what makes large mapping searches cheap.
 
 The brute-force oracle takes the opposite route: it draws concrete tensor
-values, walks every point of the loop nest, counts distinct access events
-with seen-sets and prices value-dependent actions per event.  Its counts
-must match the closed form exactly and its energy must converge to the
-statistical value, which is the main correctness check of the whole model.
+values, enumerates every point of the loop nest, counts an access event for
+each distinct key the points carry and prices value-dependent actions per
+event.  Its counts must match the closed form exactly and its energy must
+converge to the statistical value, which is the main correctness check of
+the whole model.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import operator
 from collections import abc
 from dataclasses import dataclass, field
 
@@ -437,33 +437,6 @@ class OracleResult:
     cycles: int
 
 
-class _CountStage:
-    """Distinct access events of one (node, tensor, action).
-
-    A priced stage also tallies the operand value of each event, so that
-    every distinct value is priced once after the walk.
-    """
-
-    __slots__ = ("node", "tensor", "action", "pos", "pricer", "seen", "values", "unit")
-
-    def __init__(self, node, tensor, action, pos, pricer, unit):
-        self.node = node
-        self.tensor = tensor
-        self.action = action
-        self.pos = pos
-        self.pricer = pricer
-        self.unit = unit
-        self.seen = set()
-        self.values: dict = {}
-
-
-def _key_getter(pos: tuple[int, ...]):
-    """Key of a nest point over positions `pos`; () when `pos` is empty."""
-    if not pos:
-        return lambda idx: ()
-    return operator.itemgetter(*pos)
-
-
 def _fsum_tally(tally: dict, price) -> float:
     """Exactly rounded sum of price(v) over the multiset {v: count}.
 
@@ -477,33 +450,6 @@ def _fsum_tally(tally: dict, price) -> float:
     )
 
 
-class _PairStage:
-    __slots__ = (
-        "node",
-        "tensor",
-        "pos_in",
-        "pos_w",
-        "seen_in",
-        "seen_w",
-        "writes",
-        "updates",
-        "unit_w",
-        "unit_u",
-    )
-
-    def __init__(self, node, tensor, pos_in, pos_w, unit_w, unit_u):
-        self.node = node
-        self.tensor = tensor
-        self.pos_in = pos_in
-        self.pos_w = pos_w
-        self.seen_in = set()
-        self.seen_w = set()
-        self.writes = 0
-        self.updates = 0
-        self.unit_w = unit_w
-        self.unit_u = unit_u
-
-
 def oracle_evaluate(
     arch: ArchTree,
     layer: WorkloadLayer,
@@ -514,37 +460,33 @@ def oracle_evaluate(
 ) -> OracleResult:
     """Behavioral reference evaluation by full loop-nest enumeration.
 
-    Every nest point is visited once.  Reuse is simulated with seen-sets:
-    an access event fires only when its identifying key has not occurred
-    before, where the key is the point's coordinates over the slots a
-    component can distinguish (sibling multicast and wired reduction drop
-    the collapsed mesh coordinates, tile refills drop the coordinates that
-    iterate inside one tile).  Value-dependent components are priced per
-    event from concrete drawn tensor values; each distinct value is priced
-    once and weighted by its number of events.
+    Every nest point is enumerated once, in walk order.  An access event
+    fires at the first point that carries its identifying key, so a
+    stage's count is the number of distinct keys over the whole nest.  The
+    key is the point's coordinates over the slots a component can
+    distinguish (sibling multicast and wired reduction drop the collapsed
+    mesh coordinates, tile refills drop the coordinates that iterate inside
+    one tile).  Value-dependent components are priced per event from
+    concrete drawn tensor values; each distinct value is priced once and
+    weighted by its number of events.
     """
     registry = registry or DEFAULT_REGISTRY
     diag = check_valid(arch, layer, mapping)
     if not diag.ok:
         raise EngineError("invalid mapping: " + "; ".join(diag.errors))
-    if any("padded" in w for w in diag.warnings):
-        raise EngineError("the oracle requires exact tiling, mapping is padded")
 
     table = SlotTable(arch, layer)
     bounds = table.bounds_from_mapping(mapping)
-    n_points = 1
-    for b in bounds:
-        n_points *= b
+    n_points = math.prod(bounds)
+    # a valid mapping covers every dim, so any point beyond the MACs is padding
+    if n_points != mac_count(layer):
+        raise EngineError("the oracle requires exact tiling, mapping is padded")
     if n_points > point_limit:
         raise EngineError(
             f"loop nest has {n_points} points, above the oracle limit {point_limit}"
         )
-    if n_points != mac_count(layer):
-        raise EngineError("loop nest does not cover the layer exactly")
 
     nest_ids = [i for i, b in enumerate(bounds) if b > 1]
-    pos_of = {sid: k for k, sid in enumerate(nest_ids)}
-    ranges = [range(bounds[i]) for i in nest_ids]
     slots = table.slots
     nodes = arch.nodes
     leaf_i = len(nodes) - 1
@@ -561,39 +503,76 @@ def oracle_evaluate(
     role_dims = {r: layer.einsum.projection(r) for r in ROLES}
     sizes = layer.einsum.dim_sizes
 
-    # a dim's coordinate folds its nest positions outer first, so position
-    # p contributes idx[p] times the product of the later bounds of its dim
-    fold_step: dict[int, int] = {}
-    for dim in sizes:
-        step = 1
+    def radix(ids) -> dict[int, int]:
+        """Mixed-radix weights of the slots in `ids`, the last one fastest."""
+        weight, step = {}, 1
         for sid in reversed(nest_ids):
-            if slots[sid].dim == dim:
-                fold_step[pos_of[sid]] = step
+            if sid in ids:
+                weight[sid] = step
                 step *= bounds[sid]
+        return weight
+
+    def linear(weight: dict[int, int]) -> np.ndarray:
+        """Sum of weight[slot] * coordinate at every nest point, in walk order.
+
+        One outer sum per slot, the last slot fastest; slots without a
+        weight still multiply the points.
+        """
+        out = np.zeros(1, dtype=np.int64)
+        for sid in nest_ids:
+            step = weight.get(sid, 0)
+            out = np.add.outer(out, np.arange(bounds[sid], dtype=np.int64) * step)
+            out = out.ravel()
+        return out
+
+    def first_events(ids) -> np.ndarray:
+        """Walk-order index of the first point of each distinct key over `ids`."""
+        return np.unique(linear(radix(ids)), return_index=True)[1]
 
     def point_values(role: str) -> np.ndarray:
         """The role's operand value at every nest point, in walk order.
 
-        A tensor's flat index is linear in the nest coordinates, so it is
-        built by one outer sum per position, last position fastest, as
-        itertools.product walks the nest.
+        A dim's coordinate folds its slots outer first, so the tensor's flat
+        index is linear in the nest coordinates.
         """
         dim_stride, acc = {}, 1
         for d in reversed(role_dims[role]):
             dim_stride[d] = acc
             acc *= sizes[d]
-        flat = np.zeros(1, dtype=np.int64)
-        for p, sid in enumerate(nest_ids):
-            step = fold_step[p] * dim_stride.get(slots[sid].dim, 0)
-            flat = np.add.outer(flat, np.arange(bounds[sid], dtype=np.int64) * step)
-            flat = flat.ravel()
-        return np.ravel(tensors[role])[flat]
+        weight: dict[int, int] = {}
+        for d, stride in dim_stride.items():
+            fold = radix([sid for sid in nest_ids if slots[sid].dim == d])
+            weight.update((sid, step * stride) for sid, step in fold.items())
+        return np.ravel(tensors[role])[linear(weight)]
 
-    count_stages: list[_CountStage] = []
-    pair_stages: list[_PairStage] = []
+    leaf = nodes[leaf_i]
+    leaf_model = models[leaf.name]
+    leaf_ctx = contexts[leaf.name]
+    operands = {"Inputs": point_values("Inputs"), "Weights": point_values("Weights")}
+    counts: dict[tuple[str, str, str], int] = {
+        (leaf.name, COMPUTE_TENSOR, "compute"): n_points
+    }
+    # every point computes, so the leaf prices each distinct operand pair
+    # once, weighted by how many points carry it
+    if leaf_model.value_dependent_on:
+        pairs, reps = np.unique(
+            np.stack([operands["Inputs"], operands["Weights"]]),
+            axis=1,
+            return_counts=True,
+        )
+        energy_terms = [
+            _fsum_tally(
+                dict(zip(zip(*pairs.tolist()), reps.tolist())),
+                lambda iw: leaf_model.oracle_energy(
+                    "compute", leaf_ctx, {"Inputs": iw[0], "Weights": iw[1]}
+                ),
+            )
+        ]
+    else:
+        energy_terms = [n_points * unit_energy(leaf.name, "compute")]
 
-    def positions(ids) -> tuple[int, ...]:
-        return tuple(sorted(pos_of[sid] for sid in ids if sid in pos_of))
+    def tally(key: tuple[str, str, str], n: int) -> None:
+        counts[key] = counts.get(key, 0) + n
 
     def compile_role(role: str) -> None:
         proj = set(role_dims[role])
@@ -618,19 +597,39 @@ def oracle_evaluate(
         def add_count(t: int, action: str, ids, per_value: bool):
             node = nodes[t]
             model = models[node.name]
+            first = first_events(ids)
+            tally((node.name, role, action), len(first))
+            if not (per_value and role in model.value_dependent_on):
+                energy_terms.append(len(first) * unit_energy(node.name, action))
+                return
             ctx = contexts[node.name]
-            pricer = None
-            if per_value and role in model.value_dependent_on:
-                pricer = (model, ctx, role)
-            count_stages.append(
-                _CountStage(
-                    node.name,
-                    role,
-                    action,
-                    positions(ids),
-                    pricer,
-                    unit_energy(node.name, action),
+            if role in operands:
+                vals, reps = np.unique(operands[role][first], return_counts=True)
+                events = dict(zip(vals.tolist(), reps.tolist()))
+            else:
+                events = {None: len(first)}
+            energy_terms.append(
+                _fsum_tally(
+                    events,
+                    lambda v: model.oracle_energy(
+                        action, ctx, {} if v is None else {role: v}
+                    ),
                 )
+            )
+
+        def add_pair(t: int, ids) -> None:
+            # a first in-tile event writes when its output has not been
+            # written before and updates otherwise
+            name = nodes[t].name
+            first = first_events(ids)
+            out_keys = linear(radix([sid for sid in ids if rel(sid)]))[first]
+            writes = len(np.unique(out_keys))
+            updates = len(first) - writes
+            tally((name, role, "write"), writes)
+            tally((name, role, "update"), updates)
+            energy_terms.append(
+                writes * unit_energy(name, "write")
+                + updates * unit_energy(name, "update")
             )
 
         demand = frozenset(nest_ids)
@@ -657,17 +656,7 @@ def oracle_evaluate(
                 return
             # temporal reuse
             if emitting:
-                rel_in = frozenset(sid for sid in demand if rel(sid))
-                pair_stages.append(
-                    _PairStage(
-                        node.name,
-                        role,
-                        positions(demand),
-                        positions(rel_in),
-                        unit_energy(node.name, "write"),
-                        unit_energy(node.name, "update"),
-                    )
-                )
+                add_pair(t, demand)
             else:
                 add_count(t, "read", demand, per_value=True)
                 add_count(t, "fill", tile_ids(t), per_value=False)
@@ -675,17 +664,7 @@ def oracle_evaluate(
 
         if nodes[leaf_i].directive(role) == TEMPORAL_REUSE:
             if emitting:
-                rel_all = frozenset(sid for sid in nest_ids if rel(sid))
-                pair_stages.append(
-                    _PairStage(
-                        nodes[leaf_i].name,
-                        role,
-                        positions(frozenset(nest_ids)),
-                        positions(rel_all),
-                        unit_energy(nodes[leaf_i].name, "write"),
-                        unit_energy(nodes[leaf_i].name, "update"),
-                    )
-                )
+                add_pair(leaf_i, demand)
             else:
                 add_count(leaf_i, "fill", tile_ids(leaf_i), per_value=False)
             demand = tile_ids(leaf_i)
@@ -704,97 +683,11 @@ def oracle_evaluate(
     for role in ROLES:
         compile_role(role)
 
-    leaf = nodes[leaf_i]
-    leaf_model = models[leaf.name]
-    leaf_ctx = contexts[leaf.name]
-    leaf_per_value = bool(leaf_model.value_dependent_on)
-    leaf_unit = unit_energy(leaf.name, "compute")
-    temporal_pos = tuple(
-        pos_of[sid] for sid in nest_ids if slots[sid].kind == TEMPORAL
-    )
-    cycle_key = _key_getter(temporal_pos)
-    seen_cycles: set = set()
-
-    in_at = point_values("Inputs")
-    w_at = point_values("Weights")
-    # every point computes, so the leaf prices each distinct operand pair
-    # once, weighted by how many points carry it
-    compute_tally: dict[tuple[int, int], int] = {}
-    if leaf_per_value:
-        pairs, reps = np.unique(np.stack([in_at, w_at]), axis=1, return_counts=True)
-        compute_tally = dict(zip(zip(*pairs.tolist()), reps.tolist()))
-
-    count_walk = [
-        (st, _key_getter(st.pos), {"Inputs": 0, "Weights": 1}.get(st.tensor))
-        for st in count_stages
-    ]
-    pair_walk = [
-        (st, _key_getter(st.pos_in), _key_getter(st.pos_w)) for st in pair_stages
-    ]
-    for idx, vals in zip(itertools.product(*ranges), zip(in_at.tolist(), w_at.tolist())):
-        seen_cycles.add(cycle_key(idx))
-        for st, key_of, operand in count_walk:
-            key = key_of(idx)
-            if key not in st.seen:
-                st.seen.add(key)
-                if st.pricer is not None:
-                    v = None if operand is None else vals[operand]
-                    st.values[v] = st.values.get(v, 0) + 1
-        for st, in_key, w_key in pair_walk:
-            k = in_key(idx)
-            if k in st.seen_in:
-                continue
-            st.seen_in.add(k)
-            kw = w_key(idx)
-            if kw in st.seen_w:
-                st.updates += 1
-            else:
-                st.seen_w.add(kw)
-                st.writes += 1
-
-    counts: dict[tuple[str, str, str], int] = {
-        (leaf.name, COMPUTE_TENSOR, "compute"): n_points
-    }
-    energy_terms: list[float] = []
-    if leaf_per_value:
-        energy_terms.append(
-            _fsum_tally(
-                compute_tally,
-                lambda iw: leaf_model.oracle_energy(
-                    "compute", leaf_ctx, {"Inputs": iw[0], "Weights": iw[1]}
-                ),
-            )
-        )
-    else:
-        energy_terms.append(n_points * leaf_unit)
-    for st in count_stages:
-        key = (st.node, st.tensor, st.action)
-        counts[key] = counts.get(key, 0) + len(st.seen)
-        if st.pricer is not None:
-            model, ctx, role = st.pricer
-            energy_terms.append(
-                _fsum_tally(
-                    st.values,
-                    lambda v: model.oracle_energy(
-                        st.action, ctx, {} if v is None else {role: v}
-                    ),
-                )
-            )
-        else:
-            energy_terms.append(len(st.seen) * st.unit)
-    for st in pair_stages:
-        counts[(st.node, st.tensor, "write")] = (
-            counts.get((st.node, st.tensor, "write"), 0) + st.writes
-        )
-        counts[(st.node, st.tensor, "update")] = (
-            counts.get((st.node, st.tensor, "update"), 0) + st.updates
-        )
-        energy_terms.append(st.writes * st.unit_w + st.updates * st.unit_u)
-
+    temporal_ids = [sid for sid in nest_ids if slots[sid].kind == TEMPORAL]
     return OracleResult(
         layer=layer.name,
         energy_j=math.fsum(energy_terms),
         counts=counts,
         macs=n_points,
-        cycles=len(seen_cycles),
+        cycles=len(first_events(temporal_ids)),
     )

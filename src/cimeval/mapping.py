@@ -607,13 +607,26 @@ def _factorizations(
     return out
 
 
+_TRIAL_LIMIT = 1 << 16
+
+
 def _divisors(n: int) -> list[int]:
-    """Divisors of n, built from its prime factors; trial division stops at
-    the square root of what is left, so a size with small factors costs
-    little however large it is."""
+    """Divisors of n, built from its prime factors.
+
+    Trial division stops at the square root of what is left, so a size with
+    small factors costs little however large it is.  It tries no factor
+    above 2**16: what is left by then is prime if it is below 2**32, and a
+    larger cofactor is refused rather than searched for hours.
+    """
+    size = n
     ds = [1]
     p = 2
     while p * p <= n:
+        if p > _TRIAL_LIMIT:
+            raise MappingError(
+                f"cannot factor dim size {size}: {n} is left after trial "
+                f"division up to {_TRIAL_LIMIT}"
+            )
         e = 0
         while n % p == 0:
             n //= p

@@ -6,6 +6,7 @@ import io
 import json
 import re
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -76,14 +77,14 @@ def test_evaluate_report_contents(tmp_path):
     assert report["command"] == "evaluate"
     assert report["version"] == __version__
     assert report["layer"] == "tiny"
-    assert report["metrics"]["energy_j"] == pytest.approx(5.82e-12, rel=1e-12)
+    assert report["metrics"]["energy_j"] == pytest.approx(5.82e-12, rel=1e-12, abs=0)
     assert report["metrics"]["macs"] == 4
     assert report["metrics"]["cycles"] == 1
     assert report["counts"]["cell"]["all"]["compute"] == 4
     assert report["counts"]["dac"]["Inputs"]["convert"] == 2
     assert report["counts"]["buffer"]["Outputs"]["write"] == 1
     assert report["breakdown"]["adc"]["convert"]["count"] == 2
-    assert report["breakdown"]["adc"]["convert"]["energy_j"] == pytest.approx(5.12e-12)
+    assert report["breakdown"]["adc"]["convert"]["energy_j"] == pytest.approx(5.12e-12, abs=0)
     assert report["mapping"] == {
         "cell": [
             {"dim": "M", "bound": 2, "kind": "spatialX"},
@@ -343,12 +344,12 @@ def test_search_exhausts_the_tiny_space(tmp_path):
     assert entry["space_total"] == 49
     assert entry["evaluated"] == 49
     assert entry["valid"] == 47
-    assert entry["metrics"]["energy_j"] == pytest.approx(5.82e-12, rel=1e-12)
+    assert entry["metrics"]["energy_j"] == pytest.approx(5.82e-12, rel=1e-12, abs=0)
     assert entry["energy_table_fingerprint"]
-    assert report["totals"]["energy_j"] == pytest.approx(5.82e-12, rel=1e-12)
+    assert report["totals"]["energy_j"] == pytest.approx(5.82e-12, rel=1e-12, abs=0)
     assert report["totals"]["macs"] == 4
     assert report["totals"]["edp_js"] == pytest.approx(
-        report["totals"]["energy_j"] * report["totals"]["latency_s"], rel=1e-12
+        report["totals"]["energy_j"] * report["totals"]["latency_s"], rel=1e-12, abs=0
     )
 
 
@@ -380,7 +381,7 @@ def test_search_dump_mapping_round_trips(tmp_path):
     assert rc == 0
     ev = json.loads(ev_out.read_text(encoding="utf-8"))
     assert ev["metrics"]["energy_j"] == pytest.approx(
-        best["metrics"]["energy_j"], rel=1e-12
+        best["metrics"]["energy_j"], rel=1e-12, abs=0
     )
     assert ev["mapping"] == best["best_mapping"]
 
@@ -479,11 +480,11 @@ def test_sweep_csv_schema_and_energies(tmp_path):
     slow = lines[2].split(",")
     fast = lines[3].split(",")
     assert slow[0] == fast[0] == "tiny"
-    assert float(slow[1]) == pytest.approx(1e-8)
-    assert float(fast[1]) == pytest.approx(2e-8)
+    assert float(slow[1]) == pytest.approx(1e-8, abs=0)
+    assert float(fast[1]) == pytest.approx(2e-8, abs=0)
     # doubling t_read doubles only the cell term: 4 * 0.125pJ -> 4 * 0.25pJ
-    assert float(slow[2]) == pytest.approx(5.82e-12, rel=1e-12)
-    assert float(fast[2]) == pytest.approx(6.32e-12, rel=1e-12)
+    assert float(slow[2]) == pytest.approx(5.82e-12, rel=1e-12, abs=0)
+    assert float(fast[2]) == pytest.approx(6.32e-12, rel=1e-12, abs=0)
     assert slow[4] == "1"
 
 
@@ -679,6 +680,27 @@ def test_search_samples_a_space_past_int64(tmp_path):
     assert space.draw_indices(100, 0) == drawn
     best = json.loads(out.read_text())["layers"]["huge"]["best_index"]
     assert best in drawn
+
+
+
+def test_search_refuses_a_dim_it_cannot_factor(tmp_path, capsys):
+    wl = tmp_path / "prime.yaml"
+    argv = ["search", "--arch", ARCH, "--workload", str(wl), "--budget", "20"]
+    # 2**61 - 1 is prime and far above 2**32: trial division cannot split it
+    wl.write_text(read_fixture("workload_tiny.yaml").replace(
+        "{M: 2, K: 2}", "{M: 2305843009213693951, K: 2}"))
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "2305843009213693951" in err[0] and captured.out == ""
+    # 2**31 - 1 is prime too, but below 2**32 trial division proves it
+    wl.write_text(read_fixture("workload_tiny.yaml").replace(
+        "{M: 2, K: 2}", "{M: 2147483647, K: 2}"))
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["layers"]["tiny"]["best_index"] >= 0
 
 
 def test_usage_errors_exit_two():

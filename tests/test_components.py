@@ -58,8 +58,8 @@ def test_memcell_single_slice_energy():
     ctx = cell_ctx([uniform_pmf(0, 3)], [delta_pmf(2)])
     v2 = (0**2 + (1 / 3) ** 2 + (2 / 3) ** 2 + 1**2) / 4
     g = G_MIN + (G_MAX - G_MIN) * 2 / 3
-    assert memcell_read_energy(ctx) == pytest.approx(g * v2 * T_READ, rel=1e-14)
-    assert memcell_read_energy(ctx) == pytest.approx(1.1666666666666666e-14 * v2 / (14 / 36), rel=1e-12)
+    assert memcell_read_energy(ctx) == pytest.approx(g * v2 * T_READ, rel=1e-14, abs=0)
+    assert memcell_read_energy(ctx) == pytest.approx(1.1666666666666666e-14 * v2 / (14 / 36), rel=1e-12, abs=0)
 
 
 def test_memcell_slice_average():
@@ -84,7 +84,7 @@ def test_memcell_slice_average():
     g_lo = G_MIN + (G_MAX - G_MIN) * 1 / 3
     g_hi = G_MIN + (G_MAX - G_MIN) * 2 / 3
     expect = (g_lo + g_hi) / 2 * v2 * T_READ
-    assert memcell_read_energy(ctx) == pytest.approx(expect, rel=1e-14)
+    assert memcell_read_energy(ctx) == pytest.approx(expect, rel=1e-14, abs=0)
 
 
 def test_memcell_differential_companion_adds_conductance():
@@ -101,9 +101,9 @@ def test_memcell_differential_companion_adds_conductance():
     v2 = (0 + (1 / 3) ** 2 + (2 / 3) ** 2 + 1) / 4
     g_main = G_MIN + (G_MAX - G_MIN) * 1.5 / 3
     g_comp = G_MIN + (G_MAX - G_MIN) * 1.0 / 3
-    assert memcell_read_energy(base) == pytest.approx(g_main * v2 * T_READ, rel=1e-14)
+    assert memcell_read_energy(base) == pytest.approx(g_main * v2 * T_READ, rel=1e-14, abs=0)
     assert memcell_read_energy(both) == pytest.approx(
-        (g_main + g_comp) * v2 * T_READ, rel=1e-14
+        (g_main + g_comp) * v2 * T_READ, rel=1e-14, abs=0
     )
 
 
@@ -116,7 +116,7 @@ def test_memcell_oracle_energy_matches_average_over_support():
         for y in range(4)
     ]
     avg = sum(per_point) / len(per_point)
-    assert avg == pytest.approx(model.energy_per_action("compute", ctx), rel=1e-12)
+    assert avg == pytest.approx(model.energy_per_action("compute", ctx), rel=1e-12, abs=0)
     # with a value missing the oracle falls back to the population average
     fallback = model.oracle_energy("compute", ctx, {"Weights": 1})
     assert fallback == model.energy_per_action("compute", ctx)
@@ -172,7 +172,7 @@ def test_dac_value_proportional_and_switching():
         encodings={"Inputs": Encoding("twos_complement", 1)},
         slices={"Inputs": (two_point_pmf(0, 1, 0.25),)},
     )
-    assert dac_convert_energy(ctx) == pytest.approx(0.1e-12, rel=1e-14)
+    assert dac_convert_energy(ctx) == pytest.approx(0.1e-12, rel=1e-14, abs=0)
 
     sw = ActionContext(
         layer="t",
@@ -182,7 +182,7 @@ def test_dac_value_proportional_and_switching():
         encodings={"Inputs": Encoding("twos_complement", 2)},
         slices={"Inputs": (uniform_pmf(0, 3),)},
     )
-    assert dac_convert_energy(sw) == pytest.approx(0.5e-12, rel=1e-14)
+    assert dac_convert_energy(sw) == pytest.approx(0.5e-12, rel=1e-14, abs=0)
 
     bad = ActionContext(
         layer="t",
@@ -205,20 +205,20 @@ def test_dac_oracle_energy_per_value():
         encodings={"Inputs": Encoding("twos_complement", 2)},
         slices={"Inputs": (uniform_pmf(0, 3),)},
     )
-    assert model.oracle_energy("convert", ctx, {"Inputs": 3}) == pytest.approx(1e-12)
+    assert model.oracle_energy("convert", ctx, {"Inputs": 3}) == pytest.approx(1e-12, abs=0)
     assert model.oracle_energy("convert", ctx, {"Inputs": 0}) == 0.0
     mean = sum(
         model.oracle_energy("convert", ctx, {"Inputs": v}) for v in range(4)
     ) / 4
-    assert mean == pytest.approx(model.energy_per_action("convert", ctx), rel=1e-12)
+    assert mean == pytest.approx(model.energy_per_action("convert", ctx), rel=1e-12, abs=0)
 
 
 def test_adc_energy_is_walden_scaling():
     assert adc_convert_energy({"resolution": 8}) == pytest.approx(
-        DEFAULT_ADC_FOM * 256, rel=1e-14
+        DEFAULT_ADC_FOM * 256, rel=1e-14, abs=0
     )
-    assert adc_convert_energy({"resolution": 8}) == pytest.approx(2.56e-12)
-    assert adc_convert_energy({"resolution": 4, "fom": 2e-15}) == pytest.approx(3.2e-14)
+    assert adc_convert_energy({"resolution": 8}) == pytest.approx(2.56e-12, abs=0)
+    assert adc_convert_energy({"resolution": 4, "fom": 2e-15}) == pytest.approx(3.2e-14, abs=0)
     with pytest.raises(ComponentError, match="resolution"):
         adc_convert_energy({})
     with pytest.raises(ComponentError, match="positive"):
@@ -226,11 +226,11 @@ def test_adc_energy_is_walden_scaling():
 
 
 def test_adc_area_model():
-    assert adc_area({"resolution": 8}) == pytest.approx(1e-10 * 256)
+    assert adc_area({"resolution": 8}) == pytest.approx(1e-10 * 256, abs=0)
     got = adc_area({"resolution": 6, "sample_rate": 1.0e9})
-    assert got == pytest.approx(1e-10 * 64 + 1e-17 * 1.0e9)
+    assert got == pytest.approx(1e-10 * 64 + 1e-17 * 1.0e9, abs=0)
     custom = adc_area({"resolution": 4, "adc_a0": 1e-9, "adc_a1": 0.0, "adc_a2": 0.0})
-    assert custom == pytest.approx(1e-9)
+    assert custom == pytest.approx(1e-9, abs=0)
     with pytest.raises(ComponentError, match="sample_rate"):
         adc_area({"resolution": 6, "sample_rate": -1.0})
 
@@ -240,10 +240,10 @@ def test_buffer_update_is_read_modify_write():
     ctx = ActionContext(
         layer="t", node="buf", attributes={"e_per_bit": 0.1e-12, "width": 8}
     )
-    assert model.energy_per_action("read", ctx) == pytest.approx(0.8e-12)
-    assert model.energy_per_action("write", ctx) == pytest.approx(0.8e-12)
-    assert model.energy_per_action("fill", ctx) == pytest.approx(0.8e-12)
-    assert model.energy_per_action("update", ctx) == pytest.approx(1.6e-12)
+    assert model.energy_per_action("read", ctx) == pytest.approx(0.8e-12, abs=0)
+    assert model.energy_per_action("write", ctx) == pytest.approx(0.8e-12, abs=0)
+    assert model.energy_per_action("fill", ctx) == pytest.approx(0.8e-12, abs=0)
+    assert model.energy_per_action("update", ctx) == pytest.approx(1.6e-12, abs=0)
     with pytest.raises(ComponentError, match="cannot price"):
         model.energy_per_action("convert", ctx)
     with pytest.raises(ComponentError, match="missing required attribute"):
@@ -252,27 +252,27 @@ def test_buffer_update_is_read_modify_write():
 
 def test_adder_wire_and_sram_models():
     add_ctx = ActionContext(layer="t", node="acc", attributes={"e_per_add": 3e-14})
-    assert AdderModel().energy_per_action("compute", add_ctx) == pytest.approx(3e-14)
-    assert AdderModel().energy_per_action("convert", add_ctx) == pytest.approx(3e-14)
+    assert AdderModel().energy_per_action("compute", add_ctx) == pytest.approx(3e-14, abs=0)
+    assert AdderModel().energy_per_action("convert", add_ctx) == pytest.approx(3e-14, abs=0)
 
     wire_ctx = ActionContext(
         layer="t", node="link", attributes={"e_per_bit": 2e-13, "width": 4}
     )
-    assert WireModel().energy_per_action("read", wire_ctx) == pytest.approx(8e-13)
-    assert WireModel().energy_per_action("update", wire_ctx) == pytest.approx(1.6e-12)
+    assert WireModel().energy_per_action("read", wire_ctx) == pytest.approx(8e-13, abs=0)
+    assert WireModel().energy_per_action("update", wire_ctx) == pytest.approx(1.6e-12, abs=0)
 
     mac_ctx = ActionContext(layer="t", node="pe", attributes={"e_mac": 5e-13})
-    assert SramCellModel().energy_per_action("compute", mac_ctx) == pytest.approx(5e-13)
+    assert SramCellModel().energy_per_action("compute", mac_ctx) == pytest.approx(5e-13, abs=0)
     assert SramCellModel().energy_per_action("fill", mac_ctx) == 0.0
     assert not SramCellModel().value_dependent_on
 
 
 def test_area_and_leakage_defaults():
     cell = MemoryCellModel()
-    assert cell.area({"cell_area": 2.5e-14}) == pytest.approx(2.5e-14)
+    assert cell.area({"cell_area": 2.5e-14}) == pytest.approx(2.5e-14, abs=0)
     assert cell.area({}) == 0.0
-    assert BufferModel().area({"area": 1e-8}) == pytest.approx(1e-8)
-    assert AdcModel().area({"resolution": 8}) == pytest.approx(2.56e-8)
+    assert BufferModel().area({"area": 1e-8}) == pytest.approx(1e-8, abs=0)
+    assert AdcModel().area({"resolution": 8}) == pytest.approx(2.56e-8, abs=0)
 
 
 def test_registry_lookup_and_override():
@@ -293,4 +293,4 @@ def test_registry_lookup_and_override():
 
     reg.register("dac", FlatDac(), override=True)
     ctx = ActionContext(layer="t", node="d", attributes={})
-    assert reg.get("dac").energy_per_action("convert", ctx) == pytest.approx(7e-12)
+    assert reg.get("dac").energy_per_action("convert", ctx) == pytest.approx(7e-12, abs=0)

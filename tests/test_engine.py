@@ -71,27 +71,27 @@ def test_crossbar_energy_is_exact(crossbar_arch, tiny_layer, tiny_mapping):
     assert CELL_COMPUTE_J == 1.25e-13
     assert DAC_CONVERT_J == 1.0e-13
     assert ADC_CONVERT_J == 2.56e-12
-    assert res.energy_j == pytest.approx(5.82e-12, rel=1e-12)
-    assert res.energy_j == pytest.approx(CROSSBAR_TOTAL_J, rel=1e-12)
-    assert res.breakdown[("cell", "compute")] == (4, pytest.approx(CELL_COMPUTE_J), pytest.approx(5e-13))
-    assert res.breakdown[("adc", "convert")][2] == pytest.approx(5.12e-12)
-    assert res.breakdown[("dac", "convert")][2] == pytest.approx(2e-13)
+    assert res.energy_j == pytest.approx(5.82e-12, rel=1e-12, abs=0)
+    assert res.energy_j == pytest.approx(CROSSBAR_TOTAL_J, rel=1e-12, abs=0)
+    assert res.breakdown[("cell", "compute")] == (4, pytest.approx(CELL_COMPUTE_J, abs=0), pytest.approx(5e-13, abs=0))
+    assert res.breakdown[("adc", "convert")][2] == pytest.approx(5.12e-12, abs=0)
+    assert res.breakdown[("dac", "convert")][2] == pytest.approx(2e-13, abs=0)
     assert res.breakdown[("buffer", "write")][2] == 0.0
     assert res.cycles == 1
-    assert res.latency_s == pytest.approx(1e-9)
-    assert res.utilization == pytest.approx(1.0)
+    assert res.latency_s == pytest.approx(1e-9, abs=0)
+    assert res.utilization == pytest.approx(1.0, abs=0)
     assert res.macs == 4
-    assert res.energy_per_mac_j == pytest.approx(5.82e-12 / 4, rel=1e-12)
-    assert res.edp_js == pytest.approx(5.82e-12 * 1e-9, rel=1e-12)
+    assert res.energy_per_mac_j == pytest.approx(5.82e-12 / 4, rel=1e-12, abs=0)
+    assert res.edp_js == pytest.approx(5.82e-12 * 1e-9, rel=1e-12, abs=0)
 
 
 def test_energy_table_is_mapping_invariant(crossbar_arch, tiny_layer):
     table_a = precompute_energy_table(crossbar_arch, tiny_layer)
     table_b = precompute_energy_table(crossbar_arch, tiny_layer)
     assert table_a.fingerprint == table_b.fingerprint
-    assert table_a.unit("cell", "compute") == pytest.approx(CELL_COMPUTE_J, rel=1e-14)
-    assert table_a.unit("dac", "convert") == pytest.approx(DAC_CONVERT_J, rel=1e-14)
-    assert table_a.unit("adc", "convert") == pytest.approx(ADC_CONVERT_J, rel=1e-14)
+    assert table_a.unit("cell", "compute") == pytest.approx(CELL_COMPUTE_J, rel=1e-14, abs=0)
+    assert table_a.unit("dac", "convert") == pytest.approx(DAC_CONVERT_J, rel=1e-14, abs=0)
+    assert table_a.unit("adc", "convert") == pytest.approx(ADC_CONVERT_J, rel=1e-14, abs=0)
     assert table_a.unit("cell", "fill") == 0.0
     with pytest.raises(EngineError, match="no entry"):
         table_a.unit("cell", "erase")
@@ -110,7 +110,7 @@ def test_fast_path_equals_full_evaluation(crossbar_arch):
     for _, mapping in enumerate_mappings(crossbar_arch, layer, budget=80, seed=3):
         bounds = ev.bounds_of(mapping)
         assert ev.objective_value(bounds, "energy") == pytest.approx(
-            ev.evaluate(mapping).energy_j, rel=1e-12
+            ev.evaluate(mapping).energy_j, rel=1e-12, abs=0
         )
     with pytest.raises(EngineError, match="unknown objective"):
         ev.objective_value([1] * len(ev.slot_table), "steps")
@@ -121,8 +121,8 @@ def test_objective_values_are_consistent(crossbar_arch, tiny_layer, tiny_mapping
     bounds = ev.bounds_of(tiny_mapping)
     e = ev.objective_value(bounds, "energy")
     l = ev.objective_value(bounds, "latency")
-    assert ev.objective_value(bounds, "edp") == pytest.approx(e * l, rel=1e-12)
-    assert l == pytest.approx(1e-9)
+    assert ev.objective_value(bounds, "edp") == pytest.approx(e * l, rel=1e-12, abs=0)
+    assert l == pytest.approx(1e-9, abs=0)
 
 
 def test_short_bounds_vector_is_rejected(crossbar_arch, tiny_layer):
@@ -135,15 +135,15 @@ def test_short_bounds_vector_is_rejected(crossbar_arch, tiny_layer):
 
 
 def test_area_and_clock_attributes(crossbar_arch, tiny_layer, tiny_mapping):
-    assert total_area(crossbar_arch) == pytest.approx(2.56e-8, rel=1e-12)
+    assert total_area(crossbar_arch) == pytest.approx(2.56e-8, rel=1e-12, abs=0)
     slower = parse_arch(
         read_fixture("arch_crossbar.yaml").replace(
             "vdd: 1.0", "vdd: 1.0\n  clock_period: 2.0e-9"
         )
     )
     res = evaluate(slower, tiny_layer, tiny_mapping)
-    assert res.latency_s == pytest.approx(2e-9)
-    assert res.area_m2 == pytest.approx(2.56e-8, rel=1e-12)
+    assert res.latency_s == pytest.approx(2e-9, abs=0)
+    assert res.area_m2 == pytest.approx(2.56e-8, rel=1e-12, abs=0)
 
 
 def test_containers_cannot_price_actions():
@@ -319,7 +319,7 @@ def test_oracle_energy_is_exact_for_deterministic_values(crossbar_arch, tiny_map
     layer = parse_workload(DELTA_TINY)[0]
     model = evaluate(crossbar_arch, layer, tiny_mapping)
     oracle = oracle_evaluate(crossbar_arch, layer, tiny_mapping, seed=11)
-    assert oracle.energy_j == pytest.approx(model.energy_j, rel=1e-12)
+    assert oracle.energy_j == pytest.approx(model.energy_j, rel=1e-12, abs=0)
 
 
 def test_oracle_rejects_inexact_nests(crossbar_arch, tiny_layer):
@@ -336,6 +336,167 @@ def test_oracle_rejects_inexact_nests(crossbar_arch, tiny_layer):
 def test_oracle_point_limit(crossbar_arch, tiny_layer, tiny_mapping):
     with pytest.raises(EngineError, match="oracle limit"):
         oracle_evaluate(crossbar_arch, tiny_layer, tiny_mapping, point_limit=2)
+
+
+# differential 4-bit inputs in (3, 1) slices through a switching DAC, with
+# temporal loops above the crossbar so reads, fills and updates repeat
+ARCH_DIFF_SWITCHING = """
+--- !Component
+name: buffer
+class: buffer
+temporal_reuse: [Inputs, Outputs]
+attributes: {e_per_bit: 1.0e-15, width: 8}
+--- !Component
+name: adc
+class: adc
+no_coalesce: [Outputs]
+attributes: {resolution: 6}
+--- !Component
+name: dac
+class: dac
+no_coalesce: [Inputs]
+attributes:
+  e_full_scale: 1.0e-12
+  model: switching
+  input_encoding: differential
+  input_slice_width: 3
+--- !Component
+name: cell
+class: reram_cell
+temporal_reuse: [Weights]
+spatial: {meshX: 2, meshY: 2}
+spatial_reuse: [Inputs, Outputs]
+attributes:
+  t_read: 1.0e-8
+  g_min: 1.0e-6
+  g_max: 4.0e-6
+  input_encoding: differential
+  input_slice_width: 3
+"""
+LAYER_DIFF = """
+layers:
+  - name: diff
+    dims: {M: 4, K: 6}
+    projections: {Inputs: [K], Weights: [K, M], Outputs: [M]}
+    bits: {Inputs: 4, Weights: 2, Outputs: 8}
+    pmf: {Inputs: {uniform: [-8, 7]}, Weights: {uniform: [0, 3]}}
+"""
+
+
+def _pinned_oracle_cases():
+    crossbar = parse_arch(read_fixture("arch_crossbar.yaml"))
+    tiny_text = read_fixture("workload_tiny.yaml")
+    yield (
+        "tiny",
+        crossbar,
+        parse_workload(tiny_text)[0],
+        parse_mapping(read_fixture("mapping_tiny.yaml")),
+        0,
+    )
+    yield (
+        "leaf_keeps_outputs",
+        parse_arch(ARCH_LEAF_KEEPS_OUTPUTS),
+        parse_workload(LAYER_M4_K6_N2)[0],
+        Mapping.from_dict(
+            {
+                "buffer": [Loop("N", 2, "temporal"), Loop("K", 3, "temporal")],
+                "grid": [Loop("M", 2, "spatialX"), Loop("K", 2, "spatialY")],
+                "pe": [Loop("M", 2, "temporal")],
+            }
+        ),
+        0,
+    )
+    yield (
+        "diff_switching",
+        parse_arch(ARCH_DIFF_SWITCHING),
+        parse_workload(LAYER_DIFF)[0],
+        Mapping.from_dict(
+            {
+                "buffer": [Loop("K", 3, "temporal"), Loop("M", 2, "temporal")],
+                "cell": [Loop("M", 2, "spatialX"), Loop("K", 2, "spatialY")],
+            }
+        ),
+        5,
+    )
+    yield (
+        "one_mac",
+        crossbar,
+        parse_workload(tiny_text.replace("{M: 2, K: 2}", "{M: 1, K: 1}"))[0],
+        Mapping.from_dict({}),
+        0,
+    )
+
+
+# (energy_j.hex(), cycles, counts) of each case: any change to how the oracle
+# counts or sums shows here as a last-bit drift
+PINNED_ORACLE = {
+    "tiny": (
+        "0x1.6849b86a12b9bp-38",
+        1,
+        {
+            ("accum", "Outputs", "compute"): 2,
+            ("adc", "Outputs", "convert"): 2,
+            ("buffer", "Inputs", "fill"): 1,
+            ("buffer", "Inputs", "read"): 2,
+            ("buffer", "Outputs", "update"): 0,
+            ("buffer", "Outputs", "write"): 1,
+            ("cell", "Weights", "fill"): 4,
+            ("cell", "all", "compute"): 4,
+            ("dac", "Inputs", "convert"): 2,
+        },
+    ),
+    "leaf_keeps_outputs": (
+        "0x1.ae1800f1d3275p-39",
+        12,
+        {
+            ("buffer", "Inputs", "fill"): 1,
+            ("buffer", "Inputs", "read"): 48,
+            ("buffer", "Outputs", "update"): 4,
+            ("buffer", "Outputs", "write"): 4,
+            ("buffer", "Weights", "fill"): 1,
+            ("buffer", "Weights", "read"): 48,
+            ("pe", "Outputs", "update"): 40,
+            ("pe", "Outputs", "write"): 8,
+            ("pe", "all", "compute"): 48,
+        },
+    ),
+    "diff_switching": (
+        "0x1.6cbf1f59a91fdp-37",
+        6,
+        {
+            ("adc", "Outputs", "convert"): 12,
+            ("buffer", "Inputs", "fill"): 1,
+            ("buffer", "Inputs", "read"): 12,
+            ("buffer", "Outputs", "update"): 8,
+            ("buffer", "Outputs", "write"): 4,
+            ("cell", "Weights", "fill"): 24,
+            ("cell", "all", "compute"): 24,
+            ("dac", "Inputs", "convert"): 12,
+        },
+    ),
+    "one_mac": (
+        "0x1.6849b86a12b9bp-39",
+        1,
+        {
+            ("accum", "Outputs", "compute"): 1,
+            ("adc", "Outputs", "convert"): 1,
+            ("buffer", "Inputs", "fill"): 1,
+            ("buffer", "Inputs", "read"): 1,
+            ("buffer", "Outputs", "update"): 0,
+            ("buffer", "Outputs", "write"): 1,
+            ("cell", "Weights", "fill"): 1,
+            ("cell", "all", "compute"): 1,
+            ("dac", "Inputs", "convert"): 1,
+        },
+    ),
+}
+
+
+def test_oracle_outputs_are_pinned_bit_for_bit():
+    for name, arch, layer, mapping, seed in _pinned_oracle_cases():
+        got = oracle_evaluate(arch, layer, mapping, seed=seed)
+        assert (got.energy_j.hex(), got.cycles, got.counts) == PINNED_ORACLE[name], name
+        assert got.counts == evaluate(arch, layer, mapping).counts, name
 
 
 # only the cell costs energy, so the oracle's total is its compute term
@@ -408,7 +569,7 @@ def test_search_tiny_space_exhaustively(crossbar_arch, tiny_layer):
     assert res.space_total == 49
     assert res.evaluated == 49
     assert res.valid == 47
-    assert res.result.energy_j == pytest.approx(5.82e-12, rel=1e-12)
+    assert res.result.energy_j == pytest.approx(5.82e-12, rel=1e-12, abs=0)
     again = search(crossbar_arch, tiny_layer, cfg)
     assert again.index == res.index
     assert again.result.energy_j == res.result.energy_j
@@ -473,7 +634,7 @@ def test_plugin_model_changes_the_price(crossbar_arch, tiny_layer, tiny_mapping)
     reg.register("dac", FlatDac())
     res = evaluate(crossbar_arch, tiny_layer, tiny_mapping, registry=reg)
     assert res.energy_j == pytest.approx(
-        CROSSBAR_TOTAL_J - 2 * DAC_CONVERT_J + 2 * 1e-12, rel=1e-12
+        CROSSBAR_TOTAL_J - 2 * DAC_CONVERT_J + 2 * 1e-12, rel=1e-12, abs=0
     )
 
 

@@ -195,7 +195,7 @@ def test_hierarchy_counts_and_cycles():
         ("dram", "Outputs", "update"): 0,
     }
     assert cycles == 2
-    assert util == pytest.approx(1.0)
+    assert util == pytest.approx(1.0, abs=0)
 
 
 def test_repeated_loops_multiply_into_one_slot(crossbar_arch, tiny_layer):
@@ -464,7 +464,7 @@ layers:
     mapping = Mapping.from_dict(
         {"cell": [Loop("M", 64, "spatialX"), Loop("K", 64, "spatialY")]}
     )
-    assert plan_evaluate(arch, layer, mapping)[2] == pytest.approx(1 / 16)
+    assert plan_evaluate(arch, layer, mapping)[2] == pytest.approx(1 / 16, abs=0)
 
 
 def test_factorizations_exhaustive():

@@ -59,14 +59,14 @@ def test_build_pmf_frequencies():
     pmf = build_pmf([3, 0, 0, 3, 3, 1, 0, 0])
     assert pmf.support == (0, 1, 3)
     assert pmf.probs == (0.5, 0.125, 0.375)
-    assert pmf.mean() == pytest.approx(10 / 8)
+    assert pmf.mean() == pytest.approx(10 / 8, abs=0)
 
 
 def test_synth_pmf_forms():
     assert uniform_pmf(0, 3).probs == (0.25,) * 4
     assert delta_pmf(-7).support == (-7,)
     tp = two_point_pmf(0, 1, 0.25)
-    assert tp.mean() == pytest.approx(0.25)
+    assert tp.mean() == pytest.approx(0.25, abs=0)
     assert synth_pmf("delta", 5).support == (5,)
     assert synth_pmf("uniform", [0, 1]).support == (0, 1)
     assert synth_pmf("two_point", [0, 2.0, 1]).support == (0, 2)
