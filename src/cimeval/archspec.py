@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import yaml
 
-from .workload import ROLES, WorkloadLayer, as_integer
+from .workload import ROLES, WorkloadLayer, as_integer, yaml_error
 
 TEMPORAL_REUSE = "temporal_reuse"
 COALESCE = "coalesce"
@@ -310,10 +310,8 @@ def parse_arch(text: str) -> ArchTree:
     """
     try:
         docs = list(yaml.load_all(text, Loader=_ArchLoader))
-    except yaml.MarkedYAMLError as exc:
-        mark = exc.problem_mark
-        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        raise ArchError(f"architecture YAML error{where}: {exc.problem}") from exc
+    except yaml.YAMLError as exc:
+        raise ArchError(yaml_error("architecture", exc)) from exc
 
     flat = []
     for doc in docs:

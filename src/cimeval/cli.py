@@ -21,6 +21,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .archspec import (
     NUMERIC_ATTRS,
@@ -64,6 +66,7 @@ _INPUT_ERRORS = (
     ValueModelError,
     EngineError,
     OSError,
+    UnicodeDecodeError,
 )
 
 
@@ -151,7 +154,7 @@ def _check_arch(arch: ArchTree, layers, failed: str) -> None:
     for layer in layers:
         errors = errors or validate(arch, layer)
     if errors:
-        raise _CliError(f"{failed}:\n  " + "\n  ".join(errors))
+        raise _CliError(f"{failed}: " + "; ".join(errors))
 
 
 def _load(args, one: str | None = None):
@@ -172,7 +175,7 @@ def _cmd_evaluate(args) -> int:
     mapping = _load_mapping(args.mapping)
     diag = check_valid(arch, layer, mapping)
     if not diag.ok:
-        raise _CliError("invalid mapping:\n  " + "\n  ".join(diag.errors))
+        raise _CliError("invalid mapping: " + "; ".join(diag.errors))
     evaluator = LayerEvaluator(arch, layer)
     res = evaluator.evaluate(mapping)
     report = {
@@ -527,7 +530,10 @@ def main(argv=None) -> int:
     try:
         parser = _build_parser()
         args = parser.parse_args(argv)
-        return args.func(args)
+        # a non-finite energy or time fails the report with one error line,
+        # so numpy's float warnings on the way there are not printed
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except _CliError as e:
         sys.stderr.write(f"error: {e}\n")
         return e.code

@@ -2,9 +2,10 @@
 
 Models price one action (read, write, fill, update, convert, compute) from an
 ActionContext that carries the node's resolved attributes and the encoded,
-sliced operand PMFs.  Data-value-dependent models consume distributions only;
-the same per-value kernels are reused by the brute-force oracle through
-oracle_energy.
+sliced operand PMFs.  Data-value-dependent models consume distributions only.
+The brute-force oracle prices concrete events through oracle_energy, which
+takes one int array per role (one entry per event) and returns one price per
+event; the cell and DAC run their per-value kernel once per distinct value.
 
 Registered classes: reram_cell, sram_cell, dac, adc, buffer, adder, wire
 (router is an alias of wire).  DEFAULT_REGISTRY.register adds plug-ins keyed
@@ -16,6 +17,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .valuemodel import (
     Encoding,
@@ -210,12 +213,16 @@ class ComponentModel(ABC):
         """Area in m^2 of one instance."""
         return float(attributes.get("area", 0.0))
 
-    def oracle_energy(self, action: str, ctx: ActionContext, values: dict[str, int]) -> float:
-        """Energy of one action given concrete operand values.
+    def oracle_energy(
+        self, action: str, ctx: ActionContext, values: dict[str, np.ndarray]
+    ) -> np.ndarray:
+        """Energy of each of n actions given their concrete operand values.
 
-        Value-independent models fall back to the average.
+        values maps one or more roles to int arrays of n entries, one per
+        event; the result is a float64 array of n prices.  Value-independent
+        models price every event at the average.
         """
-        return self.energy_per_action(action, ctx)
+        return np.full(_event_count(values), self.energy_per_action(action, ctx))
 
     def _unsupported(self, action: str, ctx: ActionContext):
         raise ComponentError(
@@ -223,19 +230,37 @@ class ComponentModel(ABC):
         )
 
 
-def _mean_slice_quantity(value: int, ctx: ActionContext, role: str, per_slice) -> float:
-    """Average per_slice(slice_level, width) over the slices of one value."""
+def _event_count(values: dict[str, np.ndarray]) -> int:
+    """The common length of oracle_energy's value arrays."""
+    lengths = {np.size(v) for v in values.values()}
+    if len(lengths) != 1:
+        raise ComponentError(
+            "oracle_energy needs one or more value arrays of one length, "
+            f"got lengths {sorted(lengths)}"
+        )
+    return lengths.pop()
+
+
+def _mean_slice_quantity(
+    values: dict[str, np.ndarray], ctx: ActionContext, role: str, per_slice
+) -> np.ndarray:
+    """Average per_slice(slice_level, width) over the slices of each event's
+    value of role, computed once per distinct value."""
     enc = ctx.encodings[role]
     widths = _slice_widths(ctx, role)
-    levels = [encode_value(int(value), enc)]
-    if _two_lines(ctx, role):
-        levels.append(encode_value_companion(int(value), enc))
-    total = 0.0
-    for lvl in levels:
-        for width in widths:
-            total += per_slice(lvl & ((1 << width) - 1), width)
-            lvl >>= width
-    return total / len(widths)
+    distinct, inverse = np.unique(np.ravel(values[role]), return_inverse=True)
+    means = np.empty(len(distinct))
+    for i, value in enumerate(distinct.tolist()):
+        levels = [encode_value(int(value), enc)]
+        if _two_lines(ctx, role):
+            levels.append(encode_value_companion(int(value), enc))
+        total = 0.0
+        for lvl in levels:
+            for width in widths:
+                total += per_slice(lvl & ((1 << width) - 1), width)
+                lvl >>= width
+        means[i] = total / len(widths)
+    return means[inverse]
 
 
 class MemoryCellModel(ComponentModel):
@@ -250,23 +275,24 @@ class MemoryCellModel(ComponentModel):
             return float(ctx.attributes.get("e_write", 0.0))
         self._unsupported(action, ctx)
 
-    def oracle_energy(self, action: str, ctx: ActionContext, values: dict[str, int]) -> float:
-        if action not in ("read", "compute"):
-            return self.energy_per_action(action, ctx)
-        if "Inputs" not in values or "Weights" not in values:
-            return self.energy_per_action(action, ctx)
+    def oracle_energy(
+        self, action: str, ctx: ActionContext, values: dict[str, np.ndarray]
+    ) -> np.ndarray:
+        n = _event_count(values)
+        if action not in ("read", "compute") or not {"Inputs", "Weights"} <= set(values):
+            return np.full(n, self.energy_per_action(action, ctx))
         t_read = float(ctx.attr("t_read"))
         vdd = float(ctx.attributes.get("vdd", 1.0))
         g_min = float(ctx.attributes.get("g_min", 0.0))
         g_max = float(ctx.attr("g_max"))
         v2 = _mean_slice_quantity(
-            values["Inputs"],
+            values,
             ctx,
             "Inputs",
             lambda lvl, w: PhysicalMap.voltage(vdd, 1 << w).value(lvl) ** 2,
         )
         g = _mean_slice_quantity(
-            values["Weights"],
+            values,
             ctx,
             "Weights",
             lambda lvl, w: PhysicalMap.conductance(g_min, g_max, 1 << w).value(lvl),
@@ -299,15 +325,17 @@ class DacModel(ComponentModel):
             return dac_convert_energy(ctx)
         self._unsupported(action, ctx)
 
-    def oracle_energy(self, action: str, ctx: ActionContext, values: dict[str, int]) -> float:
+    def oracle_energy(
+        self, action: str, ctx: ActionContext, values: dict[str, np.ndarray]
+    ) -> np.ndarray:
         if action != "convert" or "Inputs" not in values:
-            return self.energy_per_action(action, ctx)
+            return super().oracle_energy(action, ctx, values)
         e_fs = float(ctx.attr("e_full_scale"))
         if _dac_model(ctx) == "value_proportional":
             per_slice = lambda lvl, w: lvl / ((1 << w) - 1)
         else:
             per_slice = lambda lvl, w: lvl.bit_count() / w
-        return e_fs * _mean_slice_quantity(values["Inputs"], ctx, "Inputs", per_slice)
+        return e_fs * _mean_slice_quantity(values, ctx, "Inputs", per_slice)
 
 
 class AdcModel(ComponentModel):

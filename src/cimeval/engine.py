@@ -19,7 +19,6 @@ the whole model.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from collections import abc
 from dataclasses import dataclass, field
@@ -437,19 +436,6 @@ class OracleResult:
     cycles: int
 
 
-def _fsum_tally(tally: dict, price) -> float:
-    """Exactly rounded sum of price(v) over the multiset {v: count}.
-
-    fsum rounds the exact sum once, so pricing each distinct value once
-    gives the same float as pricing every event in walk order.
-    """
-    return math.fsum(
-        itertools.chain.from_iterable(
-            itertools.repeat(price(v), c) for v, c in tally.items()
-        )
-    )
-
-
 def oracle_evaluate(
     arch: ArchTree,
     layer: WorkloadLayer,
@@ -466,9 +452,10 @@ def oracle_evaluate(
     key is the point's coordinates over the slots a component can
     distinguish (sibling multicast and wired reduction drop the collapsed
     mesh coordinates, tile refills drop the coordinates that iterate inside
-    one tile).  Value-dependent components are priced per event from
-    concrete drawn tensor values; each distinct value is priced once and
-    weighted by its number of events.
+    one tile).  Value-dependent components price every event on its own
+    drawn operand values, through one oracle_energy array call per stage,
+    and each stage's prices are summed with math.fsum, which rounds the
+    exact sum once.
     """
     registry = registry or DEFAULT_REGISTRY
     diag = check_valid(arch, layer, mapping)
@@ -552,21 +539,10 @@ def oracle_evaluate(
     counts: dict[tuple[str, str, str], int] = {
         (leaf.name, COMPUTE_TENSOR, "compute"): n_points
     }
-    # every point computes, so the leaf prices each distinct operand pair
-    # once, weighted by how many points carry it
+    # every point computes once, on its own operand pair
     if leaf_model.value_dependent_on:
-        pairs, reps = np.unique(
-            np.stack([operands["Inputs"], operands["Weights"]]),
-            axis=1,
-            return_counts=True,
-        )
         energy_terms = [
-            _fsum_tally(
-                dict(zip(zip(*pairs.tolist()), reps.tolist())),
-                lambda iw: leaf_model.oracle_energy(
-                    "compute", leaf_ctx, {"Inputs": iw[0], "Weights": iw[1]}
-                ),
-            )
+            math.fsum(leaf_model.oracle_energy("compute", leaf_ctx, operands).tolist())
         ]
     else:
         energy_terms = [n_points * unit_energy(leaf.name, "compute")]
@@ -599,23 +575,15 @@ def oracle_evaluate(
             model = models[node.name]
             first = first_events(ids)
             tally((node.name, role, action), len(first))
-            if not (per_value and role in model.value_dependent_on):
+            # a role with no drawn operands (Outputs) prices at the average:
+            # n * p is the correctly rounded sum of n copies of p
+            if not (per_value and role in model.value_dependent_on and role in operands):
                 energy_terms.append(len(first) * unit_energy(node.name, action))
                 return
-            ctx = contexts[node.name]
-            if role in operands:
-                vals, reps = np.unique(operands[role][first], return_counts=True)
-                events = dict(zip(vals.tolist(), reps.tolist()))
-            else:
-                events = {None: len(first)}
-            energy_terms.append(
-                _fsum_tally(
-                    events,
-                    lambda v: model.oracle_energy(
-                        action, ctx, {} if v is None else {role: v}
-                    ),
-                )
+            prices = model.oracle_energy(
+                action, contexts[node.name], {role: operands[role][first]}
             )
+            energy_terms.append(math.fsum(prices.tolist()))
 
         def add_pair(t: int, ids) -> None:
             # a first in-tile event writes when its output has not been

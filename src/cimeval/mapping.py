@@ -32,7 +32,7 @@ from .archspec import (
     ArchError,
     ArchTree,
 )
-from .workload import ROLES, WorkloadLayer
+from .workload import ROLES, WorkloadLayer, yaml_error
 
 TEMPORAL = "temporal"
 SPATIAL_X = "spatialX"
@@ -859,8 +859,8 @@ def parse_mapping(text: str) -> Mapping:
     """
     try:
         doc = yaml.safe_load(text)
-    except yaml.YAMLError as e:
-        raise MappingError(f"mapping YAML parse error: {e}") from e
+    except yaml.YAMLError as exc:
+        raise MappingError(yaml_error("mapping", exc)) from exc
     if not isinstance(doc, dict):
         raise MappingError("mapping document must be a map")
     body = doc.get("nodes", doc)

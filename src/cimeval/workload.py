@@ -42,6 +42,14 @@ def as_integer(value) -> int | None:
         return None
 
 
+def yaml_error(what: str, exc: yaml.YAMLError) -> str:
+    """One line naming the document, the position when known, and the problem."""
+    mark = getattr(exc, "problem_mark", None)
+    where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+    problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+    return f"{what} YAML error{where}: {problem}"
+
+
 @dataclass(frozen=True)
 class ValuePMF:
     """Discrete distribution over integer operand values.
@@ -323,10 +331,8 @@ def parse_workload(text: str, base_dir: str | Path | None = None) -> list[Worklo
     base = Path(base_dir) if base_dir is not None else None
     try:
         doc = yaml.safe_load(text)
-    except yaml.MarkedYAMLError as exc:
-        mark = exc.problem_mark
-        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        raise WorkloadError(f"workload YAML error{where}: {exc.problem}") from exc
+    except yaml.YAMLError as exc:
+        raise WorkloadError(yaml_error("workload", exc)) from exc
     if not isinstance(doc, dict) or "layers" not in doc:
         raise WorkloadError("workload document must be a mapping with a 'layers' list")
     raw_layers = doc["layers"]

@@ -156,6 +156,23 @@ def test_missing_input_file_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("which", ["--arch", "--workload", "--mapping"])
+@pytest.mark.parametrize(
+    "raw",
+    [b"a: \x01\n", b"a: \xff\xfe\n", b"nodes:\n  cell: [\n"],
+    ids=["control_character", "not_utf8", "unclosed_flow"],
+)
+def test_unreadable_yaml_exits_two_with_one_line(tmp_path, capsys, which, raw):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(raw)
+    paths = {"--arch": ARCH, "--workload": WORKLOAD, "--mapping": MAPPING}
+    paths[which] = str(bad)
+    argv = ["evaluate"] + [a for flag, path in paths.items() for a in (flag, path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
 def test_broken_architecture_exits_two(tmp_path, capsys):
     base = read_fixture("arch_crossbar.yaml")
     head = base[: base.index("--- !Component\nname: cell")]
@@ -741,20 +758,17 @@ FUZZ_SITES = [
 ]
 
 
-@given(
-    st.sampled_from(FUZZ_SITES),
-    st.sampled_from(FUZZ_TOKENS),
-    st.sampled_from(("evaluate", "search", "sweep", "oracle-compare", "validate")),
-)
-@settings(max_examples=200, deadline=None, derandomize=True)
-def test_one_replaced_value_exits_with_a_known_code(site, token, command):
-    name, (start, end) = site
+FUZZ_COMMANDS = ("evaluate", "search", "sweep", "oracle-compare", "validate")
+
+
+def _run_fuzzed(name: str, text: str, command: str) -> None:
+    """Run one subcommand on the fixtures with ``name`` replaced by ``text``:
+    it exits with a known code, never a traceback, and outside validate
+    (which lists every problem on stdout) a failure is one stderr line."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = {f: Path(tmp) / f for f in FUZZ_FILES}
-        for f, text in FUZZ_TEXTS.items():
-            if f == name:
-                text = text[:start] + token + text[end:]
-            paths[f].write_text(text, encoding="utf-8")
+        for f, fixture in FUZZ_TEXTS.items():
+            paths[f].write_text(text if f == name else fixture, encoding="utf-8")
         argv = [command, "--arch", str(paths[FUZZ_FILES[0]])]
         argv += ["--workload", str(paths[FUZZ_FILES[1]])]
         if command in ("evaluate", "oracle-compare", "validate"):
@@ -770,3 +784,50 @@ def test_one_replaced_value_exits_with_a_known_code(site, token, command):
             rc = main(argv)
     assert rc in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
+    if rc != 0 and command != "validate":
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@given(
+    st.sampled_from(FUZZ_SITES),
+    st.sampled_from(FUZZ_TOKENS),
+    st.sampled_from(FUZZ_COMMANDS),
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_one_replaced_value_exits_with_a_known_code(site, token, command):
+    name, (start, end) = site
+    text = FUZZ_TEXTS[name]
+    _run_fuzzed(name, text[:start] + token + text[end:], command)
+
+
+# a block "key: value" line, or a "key: value" entry of a flow map with the
+# ", " that joins it to the next entry (or, for the last one, the previous)
+_KEY_LINE = re.compile(r"^[ \t]*(?:- )?\w+: *[^\s#][^\n]*\n", re.M)
+_FLOW_ENTRY = re.compile(
+    r"(?:(?<=\{)|(?<=, ))\w+: (?:\{[^{}]*\}|\[[^\[\]]*\]|[^,{}\[\]\n]+)(?=,|\})"
+)
+
+
+def _deletion_spans(text: str):
+    for m in _KEY_LINE.finditer(text):
+        yield m.span()
+    for m in _FLOW_ENTRY.finditer(text):
+        start, end = m.span()
+        if text.startswith(", ", end):
+            yield start, end + 2
+        else:
+            yield start - 2 if text[start - 2 : start] == ", " else start, end
+
+
+FUZZ_DELETIONS = [
+    (name, span) for name in FUZZ_FILES for span in _deletion_spans(FUZZ_TEXTS[name])
+]
+
+
+@given(st.sampled_from(FUZZ_DELETIONS), st.sampled_from(FUZZ_COMMANDS))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_one_deleted_entry_exits_with_a_known_code(site, command):
+    name, (start, end) = site
+    text = FUZZ_TEXTS[name]
+    _run_fuzzed(name, text[:start] + text[end:], command)

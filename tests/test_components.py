@@ -1,6 +1,9 @@
 """Per-component energy and area models, priced against hand arithmetic."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cimeval.components import (
     ActionContext,
@@ -110,16 +113,13 @@ def test_memcell_differential_companion_adds_conductance():
 def test_memcell_oracle_energy_matches_average_over_support():
     model = MemoryCellModel()
     ctx = cell_ctx([uniform_pmf(0, 3)], [uniform_pmf(0, 3)])
-    per_point = [
-        model.oracle_energy("compute", ctx, {"Inputs": x, "Weights": y})
-        for x in range(4)
-        for y in range(4)
-    ]
+    x, y = (g.ravel() for g in np.meshgrid(range(4), range(4), indexing="ij"))
+    per_point = model.oracle_energy("compute", ctx, {"Inputs": x, "Weights": y}).tolist()
     avg = sum(per_point) / len(per_point)
     assert avg == pytest.approx(model.energy_per_action("compute", ctx), rel=1e-12, abs=0)
     # with a value missing the oracle falls back to the population average
-    fallback = model.oracle_energy("compute", ctx, {"Weights": 1})
-    assert fallback == model.energy_per_action("compute", ctx)
+    fallback = model.oracle_energy("compute", ctx, {"Weights": np.array([1])})
+    assert fallback.tolist() == [model.energy_per_action("compute", ctx)]
 
 
 DIFF_INPUT_LAYER = """
@@ -211,6 +211,74 @@ def test_dac_oracle_energy_per_value():
         model.oracle_energy("convert", ctx, {"Inputs": v}) for v in range(4)
     ) / 4
     assert mean == pytest.approx(model.energy_per_action("convert", ctx), rel=1e-12, abs=0)
+
+
+def _widths(bits: int):
+    """Slices of 1, 2 or 4 bits (the last one may be short), or an uneven pair."""
+    even = st.sampled_from([1, 2, 4]).map(
+        lambda w: (w,) * (bits // w) + ((bits % w,) if bits % w else ())
+    )
+    if bits == 1:
+        return even
+    return st.one_of(even, st.integers(1, bits - 1).map(lambda lo: (lo, bits - lo)))
+
+
+@st.composite
+def _role(draw):
+    """(Encoding, SliceScheme, values) of one operand role."""
+    bits = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["twos_complement", "differential"]))
+    lo, hi = (-(1 << (bits - 1)), (1 << (bits - 1)) - 1) if draw(st.booleans()) else (0, (1 << bits) - 1)
+    values = draw(st.lists(st.integers(lo, hi), min_size=1, max_size=30))
+    return Encoding(kind, bits), SliceScheme(draw(_widths(bits))), values
+
+
+@given(
+    inputs=_role(),
+    weights=_role(),
+    dac_model=st.sampled_from(["value_proportional", "switching"]),
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_oracle_energy_array_is_its_one_element_calls(inputs, weights, dac_model):
+    (in_enc, in_scheme, xs), (w_enc, w_scheme, ws) = inputs, weights
+    n = min(len(xs), len(ws))
+    xs, ws = np.array(xs[:n]), np.array(ws[:n])
+    ctx = ActionContext(
+        layer="t",
+        node="cell",
+        attributes={
+            "t_read": T_READ, "vdd": 1.0, "g_min": G_MIN, "g_max": G_MAX,
+            "e_full_scale": 1e-12, "model": dac_model,
+        },
+        bits={"Inputs": in_enc.bits, "Weights": w_enc.bits},
+        encodings={"Inputs": in_enc, "Weights": w_enc},
+        schemes={"Inputs": in_scheme, "Weights": w_scheme},
+    )
+    for model, action, values in (
+        (MemoryCellModel(), "compute", {"Inputs": xs, "Weights": ws}),
+        (DacModel(), "convert", {"Inputs": xs}),
+    ):
+        got = model.oracle_energy(action, ctx, values)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        one_by_one = [
+            model.oracle_energy(action, ctx, {r: v[i : i + 1] for r, v in values.items()})
+            for i in range(n)
+        ]
+        assert [p.hex() for p in got.tolist()] == [
+            p.hex() for p in np.concatenate(one_by_one).tolist()
+        ]
+
+
+def test_oracle_energy_prices_value_independent_events_at_the_average():
+    ctx = ActionContext(layer="t", node="pe", attributes={"e_mac": 5e-13})
+    got = SramCellModel().oracle_energy("compute", ctx, {"Inputs": np.arange(3)})
+    assert got.tolist() == [5e-13] * 3
+    with pytest.raises(ComponentError, match="one length"):
+        SramCellModel().oracle_energy(
+            "compute", ctx, {"Inputs": np.arange(3), "Weights": np.arange(2)}
+        )
+    with pytest.raises(ComponentError, match="one length"):
+        SramCellModel().oracle_energy("compute", ctx, {})
 
 
 def test_adc_energy_is_walden_scaling():

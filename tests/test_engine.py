@@ -382,6 +382,48 @@ layers:
     pmf: {Inputs: {uniform: [-8, 7]}, Weights: {uniform: [0, 3]}}
 """
 
+# 8-bit uniform operands on a 4x4 mesh: most of the 1,024 MACs carry a
+# distinct (Inputs, Weights) pair, and a switching DAC prices 2-bit input
+# slices per value
+ARCH_B8_SWITCHING = """
+--- !Component
+name: buffer
+class: buffer
+temporal_reuse: [Inputs, Outputs]
+attributes: {e_per_bit: 1.0e-15, width: 8}
+--- !Component
+name: adc
+class: adc
+no_coalesce: [Outputs]
+attributes: {resolution: 8}
+--- !Component
+name: dac
+class: dac
+no_coalesce: [Inputs]
+attributes: {e_full_scale: 1.0e-12, model: switching, input_slice_width: 2}
+--- !Component
+name: cell
+class: reram_cell
+temporal_reuse: [Weights]
+spatial: {meshX: 4, meshY: 4}
+spatial_reuse: [Inputs, Outputs]
+attributes:
+  t_read: 1.0e-8
+  g_min: 1.0e-6
+  g_max: 4.0e-6
+  input_slice_width: 2
+  weight_slice_width: 4
+"""
+LAYER_B8 = """
+layers:
+  - name: b8
+    dims: {M: 8, K: 16, N: 8}
+    projections: {Inputs: [K, N], Weights: [K, M], Outputs: [M, N]}
+    bits: {Inputs: 8, Weights: 8, Outputs: 24}
+    pmf: {Inputs: {uniform: [0, 255]}, Weights: {uniform: [-128, 127]}}
+    signed: {Inputs: false}
+"""
+
 
 def _pinned_oracle_cases():
     crossbar = parse_arch(read_fixture("arch_crossbar.yaml"))
@@ -417,6 +459,22 @@ def _pinned_oracle_cases():
             }
         ),
         5,
+    )
+    yield (
+        "b8_switching",
+        parse_arch(ARCH_B8_SWITCHING),
+        parse_workload(LAYER_B8)[0],
+        Mapping.from_dict(
+            {
+                "buffer": [
+                    Loop("M", 2, "temporal"),
+                    Loop("K", 4, "temporal"),
+                    Loop("N", 8, "temporal"),
+                ],
+                "cell": [Loop("M", 4, "spatialX"), Loop("K", 4, "spatialY")],
+            }
+        ),
+        11,
     )
     yield (
         "one_mac",
@@ -472,6 +530,20 @@ PINNED_ORACLE = {
             ("cell", "Weights", "fill"): 24,
             ("cell", "all", "compute"): 24,
             ("dac", "Inputs", "convert"): 12,
+        },
+    ),
+    "b8_switching": (
+        "0x1.b5d779cb030b8p-31",
+        64,
+        {
+            ("adc", "Outputs", "convert"): 256,
+            ("buffer", "Inputs", "fill"): 1,
+            ("buffer", "Inputs", "read"): 256,
+            ("buffer", "Outputs", "update"): 192,
+            ("buffer", "Outputs", "write"): 64,
+            ("cell", "Weights", "fill"): 128,
+            ("cell", "all", "compute"): 1024,
+            ("dac", "Inputs", "convert"): 256,
         },
     ),
     "one_mac": (
@@ -544,19 +616,13 @@ def test_oracle_prices_every_mac_on_its_own_operands():
     tensors = draw_tensors(layer, seed)
     ctx = build_action_context(arch.leaf, layer)
     cell = DEFAULT_REGISTRY.get("reram_cell")
-    expected = math.fsum(
-        cell.oracle_energy(
-            "compute",
-            ctx,
-            {
-                "Inputs": int(tensors["Inputs"][k, n]),
-                "Weights": int(tensors["Weights"][k, m]),
-            },
-        )
-        for m in range(4)
-        for k in range(6)
-        for n in range(3)
+    m, k, n = (g.ravel() for g in np.meshgrid(range(4), range(6), range(3), indexing="ij"))
+    prices = cell.oracle_energy(
+        "compute",
+        ctx,
+        {"Inputs": tensors["Inputs"][k, n], "Weights": tensors["Weights"][k, m]},
     )
+    expected = math.fsum(prices.tolist())
     got = oracle_evaluate(arch, layer, mapping, seed=seed)
     assert got.counts == evaluate(arch, layer, mapping).counts
     assert got.energy_j == expected
