@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import yaml
 
-from .workload import ROLES, WorkloadLayer, as_integer, yaml_error
+from .workload import ROLES, YAML_LOADER, WorkloadLayer, as_integer, yaml_error
 
 TEMPORAL_REUSE = "temporal_reuse"
 COALESCE = "coalesce"
@@ -285,10 +285,6 @@ def _node_from_doc(kind: str, doc: dict) -> ArchNode:
     )
 
 
-class _ArchLoader(yaml.SafeLoader):
-    pass
-
-
 def _make_tag(kind):
     def construct(loader, node):
         data = loader.construct_mapping(node, deep=True)
@@ -298,8 +294,19 @@ def _make_tag(kind):
     return construct
 
 
-_ArchLoader.add_constructor("!Component", _make_tag("component"))
-_ArchLoader.add_constructor("!Container", _make_tag("container"))
+def _arch_loader(base: type) -> type:
+    """A subclass of the YAML loader ``base`` that reads the !Component and
+    !Container tags."""
+
+    class Loader(base):
+        pass
+
+    Loader.add_constructor("!Component", _make_tag("component"))
+    Loader.add_constructor("!Container", _make_tag("container"))
+    return Loader
+
+
+_ArchLoader = _arch_loader(YAML_LOADER)
 
 
 def parse_arch(text: str) -> ArchTree:

@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -66,7 +67,6 @@ _INPUT_ERRORS = (
     ValueModelError,
     EngineError,
     OSError,
-    UnicodeDecodeError,
 )
 
 
@@ -85,10 +85,16 @@ def _input_entry(path: str) -> dict:
     return {"path": str(path), "sha256": _sha256(p)}
 
 
+def _read(path: str, what: str) -> str:
+    """The UTF-8 text of the file given to --``what``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _CliError(f"--{what} {path} is not UTF-8 text: {exc}") from None
+
+
 def _load_layers(path: str, layer_name: str | None) -> list[WorkloadLayer]:
-    layers = parse_workload(
-        Path(path).read_text(encoding="utf-8"), base_dir=Path(path).parent
-    )
+    layers = parse_workload(_read(path, "workload"), base_dir=Path(path).parent)
     if layer_name is None:
         return layers
     for layer in layers:
@@ -99,7 +105,7 @@ def _load_layers(path: str, layer_name: str | None) -> list[WorkloadLayer]:
 
 
 def _load_mapping(path: str) -> Mapping:
-    return parse_mapping(Path(path).read_text(encoding="utf-8"))
+    return parse_mapping(_read(path, "mapping"))
 
 
 def _counts_doc(counts: dict) -> dict:
@@ -133,14 +139,23 @@ def _breakdown_doc(breakdown: dict) -> dict:
     return doc
 
 
+_NON_FINITE = (
+    "the report holds an infinite or NaN number, which JSON cannot "
+    "represent; check the architecture's energy and timing attributes"
+)
+
+
+def _check_finite(*values: float) -> None:
+    """Refuse a result that holds an infinite or NaN number."""
+    if not all(math.isfinite(v) for v in values):
+        raise _CliError(_NON_FINITE)
+
+
 def _emit_report(report: dict, out: str | None) -> None:
     try:
         text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError:
-        raise _CliError(
-            "the report holds an infinite or NaN number, which JSON cannot "
-            "represent; check the architecture's energy and timing attributes"
-        ) from None
+        raise _CliError(_NON_FINITE) from None
     if out:
         Path(out).write_text(text, encoding="utf-8", newline="\n")
     else:
@@ -161,7 +176,7 @@ def _load(args, one: str | None = None):
     """Parse --arch and --workload and check the arch against each layer
     --layer selects.  Returns (arch, layers), or with ``one`` (the
     command's name) (arch, layer) for the single selected layer."""
-    arch = parse_arch(Path(args.arch).read_text(encoding="utf-8"))
+    arch = parse_arch(_read(args.arch, "arch"))
     layers = _load_layers(args.workload, args.layer)
     if one is not None and len(layers) != 1:
         names = ", ".join(l.name for l in layers)
@@ -345,6 +360,9 @@ def _cmd_sweep(args) -> int:
                     EXIT_EMPTY,
                 )
             res = found.result
+            _check_finite(
+                res.energy_j, res.energy_per_mac_j, res.utilization, res.area_m2
+            )
             writer.writerow(
                 [layer.name]
                 + [repr(values[k]) for _, values in params]
@@ -385,6 +403,7 @@ def _cmd_oracle_compare(args) -> int:
             f"model={a} oracle={b}"
         )
     gap = abs(res.energy_j - oracle.energy_j) / res.energy_j if res.energy_j else 0.0
+    _check_finite(res.energy_j, oracle.energy_j, gap)
     lines.append(
         f"energy: model={res.energy_j!r} J oracle={oracle.energy_j!r} J "
         f"relative_gap={gap:.3e}"
@@ -418,7 +437,7 @@ def _cmd_oracle_compare(args) -> int:
 def _cmd_validate(args) -> int:
     problems: list[str] = []
     warnings: list[str] = []
-    arch = parse_arch(Path(args.arch).read_text(encoding="utf-8"))
+    arch = parse_arch(_read(args.arch, "arch"))
     layers: list[WorkloadLayer] = []
     if args.workload:
         layers = _load_layers(args.workload, args.layer)

@@ -15,7 +15,6 @@ that is then evaluated per mapping with a handful of integer multiplies.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -32,7 +31,7 @@ from .archspec import (
     ArchError,
     ArchTree,
 )
-from .workload import ROLES, WorkloadLayer, yaml_error
+from .workload import ROLES, YAML_LOADER, WorkloadLayer, yaml_error
 
 TEMPORAL = "temporal"
 SPATIAL_X = "spatialX"
@@ -571,16 +570,18 @@ def _factorizations(
     caps: tuple[int | None, ...] | None = None,
     tails: tuple[int | None, ...] | None = None,
     memo: dict | None = None,
-) -> list[tuple[int, ...]]:
-    """All ordered k-tuples of positive ints whose product is n.
+    dtype=np.int64,
+) -> np.ndarray:
+    """All ordered k-tuples of positive ints whose product is n, as the rows
+    of a read-only (rows, k) array of ``dtype``.
 
-    Tuples come in ascending lexicographic order.  caps[j], when not None,
+    Rows come in ascending lexicographic order.  caps[j], when not None,
     bounds entry j; tails (k + 1 long), where tails[j] is not None, bounds
     the product of entries j and after.  Both prune inside the recursion,
     where the n left at depth j is that tail product, so the result is the
-    uncapped list filtered by the caps, in the same order.  memo caches
-    suffix results across calls that share it; the returned lists may be
-    shared with it and must not be mutated.
+    uncapped table filtered by the caps, in the same order.  memo caches
+    tables across calls that share it, which must pass one dtype; a cached
+    table may be returned to several callers, so every table is read-only.
     """
     if caps is None:
         caps = (None,) * k
@@ -593,16 +594,25 @@ def _factorizations(
     if out is not None:
         return out
     if tails[0] is not None and n > tails[0]:
-        out = []
+        out = np.empty((0, k), dtype)
     elif k == 0:
-        out = [()] if n == 1 else []
+        out = np.empty((1 if n == 1 else 0, 0), dtype)
     else:
-        out = []
+        # (d, first row, end row, suffix table) of each d with suffixes
+        parts = []
+        rows = 0
         for d in [n] if k == 1 else sorted(_divisors(n)):
             if caps[0] is not None and d > caps[0]:
                 break
-            for rest in _factorizations(n // d, k - 1, caps[1:], tails[1:], memo):
-                out.append((d,) + rest)
+            rest = _factorizations(n // d, k - 1, caps[1:], tails[1:], memo, dtype)
+            if len(rest):
+                parts.append((d, rows, rows + len(rest), rest))
+                rows += len(rest)
+        out = np.empty((rows, k), dtype)
+        for d, start, end, rest in parts:
+            out[start:end, 0] = d
+            out[start:end, 1:] = rest
+    out.flags.writeable = False
     memo[key] = out
     return out
 
@@ -669,9 +679,22 @@ class MappingSpace:
                 fixed.update(r.terms[0][0])
             elif r.kind == "max_tile":
                 tile_rules.setdefault(r.dim, []).append(r)
+        # every mapping of the space tiles each dim exactly within these
+        # caps; bounds_ok checks the rest, which couple dims (mesh axes), pin
+        # one node's loops (keep_dims), couple tensors (capacity) or name a
+        # dim the layer lacks
+        self._residual = tuple(
+            r for r in rules if r.kind not in ("cover", "spatial_dims", "max_tile")
+        )
+        # Under exact tiling a subset product is at most the MAC count and a
+        # rule value at most its weight sum times it; past int64 the tables
+        # and blocks hold Python ints instead, so no product can wrap.
+        macs = math.prod(size for _, size in self.table.dims)
+        weight = max((sum(w for _, w in r.terms) for r in self._residual), default=1)
+        self._dtype = np.int64 if max(weight, 1) * macs < 2**63 else object
 
         self.dim_slots: dict[str, list[int]] = {}
-        self.dim_choices: dict[str, list[tuple[int, ...]]] = {}
+        self.dim_choices: dict[str, np.ndarray] = {}
         # one table for this build: dims with equal sizes and slot caps
         # (M and K of a square matvec) share their factorizations
         memo: dict = {}
@@ -685,7 +708,9 @@ class MappingSpace:
             for r in tile_rules.get(dim, ()):
                 j = sum(sid not in r.terms[0][0] for sid in slot_ids)
                 tails[j] = r.hi if tails[j] is None else min(tails[j], r.hi)
-            choices = _factorizations(size, len(slot_ids), caps, tuple(tails), memo)
+            choices = _factorizations(
+                size, len(slot_ids), caps, tuple(tails), memo, self._dtype
+            )
             if len(choices) > self.MAX_PER_DIM:
                 raise MappingError(
                     f"mapping space for dim {dim!r} exceeds "
@@ -697,19 +722,6 @@ class MappingSpace:
         self.total = reduce(lambda a, b: a * b, self.radices, 1) if all(
             self.radices
         ) else 0
-        # every mapping of the space tiles each dim exactly within these
-        # caps; bounds_ok checks the rest, which couple dims (mesh axes), pin
-        # one node's loops (keep_dims), couple tensors (capacity) or name a
-        # dim the layer lacks
-        self._residual = tuple(
-            r for r in rules if r.kind not in ("cover", "spatial_dims", "max_tile")
-        )
-        # Under exact tiling a subset product is at most the MAC count and a
-        # rule value at most its weight sum times it; past int64 a block
-        # holds Python ints instead, so no product can wrap.
-        macs = math.prod(size for _, size in self.table.dims)
-        weight = max((sum(w for _, w in r.terms) for r in self._residual), default=1)
-        self._dtype = np.int64 if max(weight, 1) * macs < 2**63 else object
         self._index_dtype = np.int64 if self.total <= 2**63 else object
 
     def bounds_ok(self, bounds):
@@ -726,7 +738,7 @@ class MappingSpace:
         rem = index
         for (dim, _), radix in zip(reversed(self.table.dims), reversed(self.radices)):
             rem, chosen = divmod(rem, radix)
-            fac = self.dim_choices[dim][chosen]
+            fac = self.dim_choices[dim][chosen].tolist()
             for sid, b in zip(self.dim_slots[dim], fac):
                 bounds[sid] = b
         return bounds
@@ -736,19 +748,7 @@ class MappingSpace:
         (in the given order) and their bounds as columns: ``cols[s]`` holds
         slot s's bound of each.  Indices decode as in bounds_at."""
 
-        def rows(choices, dim):
-            k = len(self.dim_slots[dim])
-            flat = itertools.chain.from_iterable(choices)
-            return np.fromiter(flat, self._dtype, len(choices) * k).reshape(-1, k)
-
-        # a dim with no more choices than indices converts its whole table
-        # once; a larger one converts only the choices drawn
         digits = list(zip(self.table.dims, self.radices))
-        tables = {
-            dim: rows(self.dim_choices[dim], dim)
-            for (dim, _), radix in digits
-            if radix <= len(indices)
-        }
         for start in range(0, len(indices), SCAN_BLOCK):
             idx = np.array(indices[start : start + SCAN_BLOCK], self._index_dtype)
             cols = np.ones((len(self.table), len(idx)), self._dtype)
@@ -756,12 +756,7 @@ class MappingSpace:
             for (dim, _), radix in reversed(digits):
                 chosen = (rem % radix).astype(np.intp)
                 rem = rem // radix
-                if dim in tables:
-                    picked = tables[dim][chosen]
-                else:
-                    choices = self.dim_choices[dim]
-                    picked = rows([choices[c] for c in chosen.tolist()], dim)
-                cols[self.dim_slots[dim]] = picked.T
+                cols[self.dim_slots[dim]] = self.dim_choices[dim][chosen].T
             ok = np.ones(len(idx), bool) & self.bounds_ok(cols)
             yield idx[ok], cols[:, ok]
 
@@ -858,7 +853,7 @@ def parse_mapping(text: str) -> Mapping:
     to temporal).
     """
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise MappingError(yaml_error("mapping", exc)) from exc
     if not isinstance(doc, dict):

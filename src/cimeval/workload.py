@@ -25,6 +25,11 @@ PROB_TOL = 1e-9
 # Widest bit count a model prices: 2^1024 is past the largest float.
 MAX_BITS = 1023
 
+# The loader every input document is read with: libyaml's scanner and parser
+# when PyYAML was built with them, else PyYAML's own.  Constructors and
+# resolvers are PyYAML's Python code under both, so a document loads the same.
+YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
 
 class WorkloadError(ValueError):
     """Malformed workload document or inconsistent layer data."""
@@ -279,7 +284,7 @@ def _parse_pmf_spec(spec, base_dir: Path | None) -> ValuePMF:
                 path = base_dir / path
             try:
                 text = path.read_text(encoding="utf-8")
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise WorkloadError(f"cannot read PMF file {path}: {exc}") from exc
             try:
                 samples = [int(line) for line in text.split()]
@@ -330,7 +335,7 @@ def parse_workload(text: str, base_dir: str | Path | None = None) -> list[Worklo
     """
     base = Path(base_dir) if base_dir is not None else None
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise WorkloadError(yaml_error("workload", exc)) from exc
     if not isinstance(doc, dict) or "layers" not in doc:

@@ -171,6 +171,8 @@ def test_unreadable_yaml_exits_two_with_one_line(tmp_path, capsys, which, raw):
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+    if raw == b"a: \xff\xfe\n":
+        assert f"{which} {bad}" in err[0], err
 
 
 def test_broken_architecture_exits_two(tmp_path, capsys):
@@ -631,8 +633,13 @@ def test_sweep_rejects_fractional_meshes_and_nan_attributes(capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), param
     # an integral float is a mesh size; an infinite attribute is allowed
+    # unless it makes a result infinite
     assert main(argv + ["--param", "cell.mesh_x=2.0"]) == 0
-    assert main(argv + ["--param", "cell.t_read=inf"]) == 0
+    assert main(argv + ["--param", "buffer.capacity=inf"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--param", "cell.t_read=inf"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "infinite or NaN" in err[0]
 
 
 @pytest.mark.parametrize("command", ["search", "evaluate"])
@@ -655,6 +662,23 @@ def test_infinite_pricing_attribute_exits_two_without_a_report(
     arch.write_text(base.replace("width: 8", "width: 8\n  capacity: .inf"))
     assert main(argv + ["--out", str(out)]) == 0
     json.loads(out.read_text(encoding="utf-8"), parse_constant=pytest.fail)
+
+
+@pytest.mark.parametrize("command", ["sweep", "oracle-compare"])
+def test_non_finite_results_exit_two_without_output(tmp_path, capsys, command):
+    arch = tmp_path / "arch.yaml"
+    base = read_fixture("arch_crossbar.yaml")
+    arch.write_text(base.replace("t_read: 10.0e-9", "t_read: .inf"))
+    argv = [command, "--arch", str(arch), "--workload", WORKLOAD]
+    if command == "sweep":
+        argv += ["--budget", "20", "--param", "cell.g_max=1e-6"]
+    else:
+        argv += ["--mapping", MAPPING]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and "infinite or NaN" in err[0], err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["search", "sweep"])

@@ -467,12 +467,16 @@ layers:
     assert plan_evaluate(arch, layer, mapping)[2] == pytest.approx(1 / 16, abs=0)
 
 
+def _rows(table):
+    return [tuple(r) for r in table.tolist()]
+
+
 def test_factorizations_exhaustive():
-    fs = _factorizations(8, 3)
+    fs = _rows(_factorizations(8, 3))
     assert len(fs) == 10
     assert all(a * b * c == 8 for a, b, c in fs)
     assert len(set(fs)) == len(fs)
-    assert _factorizations(1, 4) == [(1, 1, 1, 1)]
+    assert _rows(_factorizations(1, 4)) == [(1, 1, 1, 1)]
 
 
 def test_divisors_come_from_prime_factors():
@@ -506,11 +510,11 @@ def test_capped_factorizations_filter_the_uncapped_list(n, caps, other_caps, dat
         )
         expected = [
             fac
-            for fac in _factorizations(n, len(cs))
+            for fac in _rows(_factorizations(n, len(cs)))
             if all(c is None or b <= c for b, c in zip(fac, cs))
             and all(t is None or math.prod(fac[j:]) <= t for j, t in enumerate(tails))
         ]
-        got = _factorizations(n, len(cs), tuple(cs), tuple(tails), memo)
+        got = _rows(_factorizations(n, len(cs), tuple(cs), tuple(tails), memo))
         assert got == expected
 
 
@@ -532,7 +536,7 @@ def _filtered_dim_choices(space):
             for r in rules
             if r.kind == "max_tile" and r.dim == dim
         ]
-        capped[dim] = _factorizations(sizes[dim], len(slot_ids), caps)
+        capped[dim] = _rows(_factorizations(sizes[dim], len(slot_ids), caps))
         out[dim] = [
             fac
             for fac in capped[dim]
@@ -580,12 +584,63 @@ def test_max_tile_tail_caps_equal_the_window_filter(case):
     space = MappingSpace(arch, layer)
     assert sum(r.kind == "max_tile" for r in space.table._rules) == n_tile_rules
     capped, expected = _filtered_dim_choices(space)
-    assert space.dim_choices == expected
+    assert {d: _rows(t) for d, t in space.dim_choices.items()} == expected
     radices = [len(expected[d]) for d, _ in space.table.dims]
     assert space.radices == radices
     assert space.total == math.prod(radices) > 0
     # the windows bind: they filter out some mesh-capped factorization
     assert any(len(expected[d]) < len(capped[d]) for d in expected)
+
+
+def _matvec(m: int, k: int) -> str:
+    return f"""
+layers:
+  - name: mv
+    dims: {{M: {m}, K: {k}}}
+    projections: {{Inputs: [K], Weights: [K, M], Outputs: [M]}}
+    bits: {{Inputs: 8, Weights: 8, Outputs: 24}}
+    pmf: {{Inputs: {{uniform: [0, 255]}}, Weights: {{uniform: [0, 255]}}}}
+"""
+
+
+def test_factorization_tables_are_read_only(crossbar_arch):
+    memo = {}
+    _factorizations(360, 5, (None, 4, None, 2, None), None, memo)
+    space = MappingSpace(crossbar_arch, parse_workload(_matvec(96, 64))[0])
+    for table in [*memo.values(), *space.dim_choices.values()]:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[..., :1] = 7
+
+
+def test_square_matvec_dims_get_equal_tables(crossbar_arch):
+    space = MappingSpace(crossbar_arch, parse_workload(_matvec(4096, 4096))[0])
+    m, k = space.dim_choices["M"], space.dim_choices["K"]
+    assert m.dtype == np.int64 and m.shape[1] == len(space.dim_slots["M"])
+    assert np.array_equal(m, k) and len(m) > 1000
+
+
+def test_tables_past_int64_hold_python_ints(crossbar_arch):
+    # 2**32 - 5 is prime; the MAC count is about 12 * 2**64
+    prime = 4294967291
+    layer = parse_workload(_matvec(12 * prime, prime))[0]
+    space = MappingSpace(crossbar_arch, layer)
+    sizes = dict(layer.einsum.dims)
+    for dim, table in space.dim_choices.items():
+        assert table.dtype == object and len(table) > 1
+        rows = _rows(table)
+        assert all(math.prod(r) == sizes[dim] for r in rows)
+        assert all(a < b for a, b in zip(rows, rows[1:]))
+    for idx in (0, space.total // 3, space.total - 1):
+        bounds = space.bounds_at(idx)
+        [(kept, cols)] = space.scan([idx])
+        assert kept.tolist() == [idx] and cols[:, 0].tolist() == bounds
+        mapping = space.mapping_at(idx)
+        loops = [l for _, ls in mapping.loops for l in ls]
+        assert all(type(l.bound) is int for l in loops)
+        for dim, size in sizes.items():
+            assert math.prod(l.bound for l in loops if l.dim == dim) == size
+        assert space.table.bounds_from_mapping(mapping) == bounds
 
 
 def test_mapping_space_tiny_census(crossbar_arch, tiny_layer):

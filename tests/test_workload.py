@@ -251,3 +251,19 @@ layers:
 """,
             base_dir=tmp_path,
         )
+
+
+def test_non_utf8_pmf_file_names_the_file(tmp_path):
+    (tmp_path / "acts.txt").write_bytes(b"1\n\xff\n")
+    with pytest.raises(WorkloadError, match="cannot read PMF file .*acts.txt"):
+        parse_workload(
+            """
+layers:
+  - name: x
+    dims: {M: 2, K: 2}
+    projections: {Inputs: [K], Weights: [K, M], Outputs: [M]}
+    bits: {Inputs: 1, Weights: 1, Outputs: 8}
+    pmf: {Inputs: {file: acts.txt}, Weights: {delta: 0}}
+""",
+            base_dir=tmp_path,
+        )
