@@ -383,6 +383,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle_compare(args) -> int:
+    tol = args.energy_tol
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise _CliError(f"--energy-tol must be a finite number >= 0, got {tol!r}")
     arch, layer = _load(args, "oracle-compare")
     mapping = _load_mapping(args.mapping)
     res = engine_evaluate(arch, layer, mapping)

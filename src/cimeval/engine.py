@@ -415,6 +415,8 @@ def search(
 
 def draw_tensors(layer: WorkloadLayer, seed: int) -> dict[str, np.ndarray]:
     """Seeded iid operand tensors shaped by each tensor's projection."""
+    if seed < 0:
+        raise EngineError(f"tensor draw seed must be >= 0, got {seed}")
     out: dict[str, np.ndarray] = {}
     sizes = layer.einsum.dim_sizes
     for offset, role in ((0, "Inputs"), (1, "Weights")):

@@ -24,7 +24,6 @@ import numpy as np
 import yaml
 
 from .archspec import (
-    BYPASS,
     COALESCE,
     NO_COALESCE,
     TEMPORAL_REUSE,
@@ -105,24 +104,28 @@ class SlotTable:
     """Canonical slot universe for one (architecture, layer) pair.
 
     Slots exist for every workload dim at every node for the temporal kind,
-    and at Containers plus the leaf for the spatial kinds.  Loop bounds of
-    duplicate (node, kind, dim) loops multiply into one slot bound; absent
-    slots default to bound 1 so they drop out of every product.
+    and at the mesh nodes (Containers plus the leaf) for the spatial kinds.
+    Loop bounds of duplicate (node, kind, dim) loops multiply into one slot
+    bound; absent slots default to bound 1 so they drop out of every product.
     """
 
     def __init__(self, arch: ArchTree, layer: WorkloadLayer):
         self.arch = arch
         self.layer = layer
         self.dims = layer.einsum.dims
-        slots: list[Slot] = []
-        for ni, node in enumerate(arch.nodes):
-            spatial_ok = node.kind == "container" or ni == len(arch.nodes) - 1
-            for kind in LOOP_KINDS:
-                if kind != TEMPORAL and not spatial_ok:
-                    continue
-                for dim, _ in self.dims:
-                    slots.append(Slot(ni, kind, dim))
-        self.slots = tuple(slots)
+        leaf_i = len(arch.nodes) - 1
+        #: ids of the nodes that carry a mesh and spatial slots
+        self.mesh_nodes = tuple(
+            ni
+            for ni, node in enumerate(arch.nodes)
+            if node.kind == "container" or ni == leaf_i
+        )
+        self.slots = tuple(
+            Slot(ni, kind, dim)
+            for ni in range(len(arch.nodes))
+            for kind in (LOOP_KINDS if ni in self.mesh_nodes else (TEMPORAL,))
+            for dim, _ in self.dims
+        )
         self._node_names = tuple(n.name for n in arch.nodes)
         # (node name, kind, dim) -> slot id, the lookup a mapping loop needs
         self._slot_of = {
@@ -143,6 +146,10 @@ class SlotTable:
 
     def __len__(self) -> int:
         return len(self.slots)
+
+    def select(self, pred) -> tuple[int, ...]:
+        """Ids of the slots that ``pred`` accepts, ascending."""
+        return tuple(i for i, s in enumerate(self.slots) if pred(s))
 
     @cached_property
     def _rules(self) -> tuple[_Rule, ...]:
@@ -251,123 +258,77 @@ def _role_chain_entries(
 ) -> None:
     """Compile the demand-propagation walk for one operand or output tensor.
 
-    Operands: demand starts at the leaf as the full slot set and walks up.
-    Crossing a node that reuses the tensor spatially drops that node's
-    spatial slots over dims the tensor does not index (one multicast or one
-    wired reduction serves the whole extent).  A temporal-reuse node serves
-    the collapsed demand (reads for operands, write/update for outputs) and
-    replaces it with its tile-refill traffic; coalescing packs everything
-    below into one emission per tile window; non-coalescing converts each
-    demanded access and passes it through.
+    Demand starts as the full slot set and walks from the leaf, the first
+    node, up to the root.  Crossing a node that reuses the tensor spatially
+    drops that node's spatial slots over dims the tensor does not index
+    (one multicast or one wired reduction serves the whole extent).  A
+    temporal-reuse node serves the collapsed demand (reads for operands,
+    write/update for outputs) and replaces it with its tile-refill traffic;
+    the leaf's own operand tile is only filled, since the compute reads it.
+    Coalescing packs everything below into one emission per tile window;
+    non-coalescing converts each demanded access and passes it through.
     """
-    arch = table.arch
-    layer = table.layer
-    nodes = arch.nodes
+    nodes = table.arch.nodes
+    slots = table.slots
     leaf_i = len(nodes) - 1
-    proj = set(layer.einsum.projection(role))
+    proj = set(table.layer.einsum.projection(role))
     is_output = role == "Outputs"
 
-    def relevant(s: Slot) -> bool:
-        return s.dim in proj
+    def add(t: int, action: str, a: tuple, b: tuple | None = None):
+        mode = "prod" if b is None else "diff"
+        entries.append(PlanEntry(nodes[t].name, role, action, mode, a, b or ()))
 
-    all_slots = frozenset(range(len(table.slots)))
-
-    def sel(pred) -> frozenset[int]:
-        return frozenset(i for i in all_slots if pred(table.slots[i]))
-
-    def tile_demand(t: int) -> frozenset[int]:
-        return sel(
+    def tile_demand(t: int) -> tuple[int, ...]:
+        return table.select(
             lambda s: (s.kind != TEMPORAL and s.node <= t)
-            or (s.kind == TEMPORAL and relevant(s) and s.node < t)
+            or (s.kind == TEMPORAL and s.dim in proj and s.node < t)
         )
 
-    def add(node_i: int, action: str, idx: frozenset[int]):
-        entries.append(
-            PlanEntry(
-                nodes[node_i].name,
-                role,
-                action,
-                "prod",
-                tuple(sorted(idx)),
-            )
-        )
-
-    def add_diff(node_i: int, action: str, a: frozenset[int], b: frozenset[int]):
-        entries.append(
-            PlanEntry(
-                nodes[node_i].name,
-                role,
-                action,
-                "diff",
-                tuple(sorted(a)),
-                tuple(sorted(b)),
-            )
-        )
-
-    def apply_directive(t: int, demand: frozenset[int]) -> frozenset[int]:
-        d = nodes[t].directive(role)
-        if d == BYPASS:
-            return demand
-        if d == NO_COALESCE:
-            add(t, "convert", demand)
-            return demand
-        if d == COALESCE:
-            add(t, "compute", demand)
-            if is_output:
-                return tile_demand(t)
-            return sel(
-                lambda s: (s.kind != TEMPORAL and s.node <= t) or relevant(s)
-            )
-        # temporal reuse
-        if is_output:
-            rel_in = frozenset(i for i in demand if relevant(table.slots[i]))
-            add(t, "write", rel_in)
-            add_diff(t, "update", demand, rel_in)
-        else:
-            add(t, "read", demand)
-            add(t, "fill", tile_demand(t))
-        return tile_demand(t)
-
-    # leaf consumption or emission
-    leaf_dir = nodes[leaf_i].directive(role)
-    if leaf_dir == TEMPORAL_REUSE:
-        if is_output:
-            rel_all = sel(relevant)
-            add(leaf_i, "write", rel_all)
-            add_diff(leaf_i, "update", all_slots, rel_all)
-        else:
-            add(leaf_i, "fill", tile_demand(leaf_i))
-        demand = tile_demand(leaf_i)
-    else:
-        demand = apply_directive(leaf_i, all_slots)
-
-    # walk upward; collapse at each crossed mesh, then apply the parent's
-    # directive
-    for m in range(leaf_i, 0, -1):
-        if nodes[m].reuses_spatially(role):
-            demand = frozenset(
+    demand = tuple(range(len(slots)))
+    for t in range(leaf_i, -1, -1):
+        if t < leaf_i and nodes[t + 1].reuses_spatially(role):
+            demand = tuple(
                 i
                 for i in demand
                 if not (
-                    table.slots[i].node == m
-                    and table.slots[i].kind != TEMPORAL
-                    and not relevant(table.slots[i])
+                    slots[i].node == t + 1
+                    and slots[i].kind != TEMPORAL
+                    and slots[i].dim not in proj
                 )
             )
-        demand = apply_directive(m - 1, demand)
+        d = nodes[t].directive(role)
+        if d == NO_COALESCE:
+            add(t, "convert", demand)
+        elif d == COALESCE:
+            add(t, "compute", demand)
+            if is_output:
+                demand = tile_demand(t)
+            else:
+                demand = table.select(
+                    lambda s: (s.kind != TEMPORAL and s.node <= t) or s.dim in proj
+                )
+        elif d == TEMPORAL_REUSE:
+            if is_output:
+                rel_in = tuple(i for i in demand if slots[i].dim in proj)
+                add(t, "write", rel_in)
+                add(t, "update", demand, rel_in)
+            else:
+                if t < leaf_i:
+                    add(t, "read", demand)
+                add(t, "fill", tile_demand(t))
+            demand = tile_demand(t)
 
 
 def build_count_plan(arch: ArchTree, layer: WorkloadLayer) -> tuple[SlotTable, CountPlan]:
     table = SlotTable(arch, layer)
     entries: list[PlanEntry] = []
-    leaf_i = len(arch.nodes) - 1
     all_idx = tuple(range(len(table.slots)))
     entries.append(
         PlanEntry(arch.leaf.name, COMPUTE_TENSOR, "compute", "prod", all_idx)
     )
     for role in ROLES:
         _role_chain_entries(table, role, entries)
-    temporal_idx = tuple(i for i, s in enumerate(table.slots) if s.kind == TEMPORAL)
+    temporal_idx = table.select(lambda s: s.kind == TEMPORAL)
     distinct = sorted(
         {e.idx_a for e in entries}
         | {e.idx_b for e in entries if e.mode == "diff"}
@@ -388,10 +349,10 @@ def build_count_plan(arch: ArchTree, layer: WorkloadLayer) -> tuple[SlotTable, C
         (sub_id[e.idx_a], sub_id[e.idx_b] if e.mode == "diff" else None)
         for e in entries
     )
-    capacity = 1
-    for ni, node in enumerate(arch.nodes):
-        if node.kind == "container" or ni == leaf_i:
-            capacity *= node.spatial.mesh_x * node.spatial.mesh_y
+    capacity = math.prod(
+        arch.nodes[ni].spatial.mesh_x * arch.nodes[ni].spatial.mesh_y
+        for ni in table.mesh_nodes
+    )
     return table, CountPlan(
         tuple(entries),
         tuple(subsets),
@@ -470,24 +431,20 @@ def _validity_rules(table: SlotTable) -> tuple[_Rule, ...]:
     """
     layer = table.layer
     nodes = table.arch.nodes
-    leaf_i = len(nodes) - 1
     size_of = dict(table.dims)
-
-    def sel(pred) -> tuple[int, ...]:
-        return tuple(i for i, s in enumerate(table.slots) if pred(s))
-
     rules = [
-        _Rule("cover", "", dim, ((sel(lambda s: s.dim == dim), 1),), size, size)
+        _Rule(
+            "cover", "", dim, ((table.select(lambda s: s.dim == dim), 1),), size, size
+        )
         for dim, size in table.dims
     ]
-    for ni, node in enumerate(nodes):
-        if node.kind != "container" and ni != leaf_i:
-            continue
+    for ni in table.mesh_nodes:
+        node = nodes[ni]
         for kind, cap in (
             (SPATIAL_X, node.spatial.mesh_x),
             (SPATIAL_Y, node.spatial.mesh_y),
         ):
-            axis = sel(lambda s: s.node == ni and s.kind == kind)
+            axis = table.select(lambda s: s.node == ni and s.kind == kind)
             rules.append(_Rule("mesh", node.name, kind, ((axis, 1),), hi=cap))
     for ni, node in enumerate(nodes):
         cons = node.constraints
@@ -495,16 +452,16 @@ def _validity_rules(table: SlotTable) -> tuple[_Rule, ...]:
             if dim not in size_of:
                 rules.append(_Rule("unknown keep_dims", node.name, dim, (), lo=1))
             elif size_of[dim] > 1:
-                here = sel(lambda s: s.node == ni and s.dim == dim)
+                here = table.select(lambda s: s.node == ni and s.dim == dim)
                 rules.append(_Rule("keep_dims", node.name, dim, ((here, 1),), lo=2))
         for dim, cap in cons.max_tile:
             if dim not in size_of:
                 rules.append(_Rule("unknown max_tile", node.name, dim, (), lo=1))
             else:
-                tile = sel(lambda s: s.node >= ni and s.dim == dim)
+                tile = table.select(lambda s: s.node >= ni and s.dim == dim)
                 rules.append(_Rule("max_tile", node.name, dim, ((tile, 1),), hi=cap))
         if cons.spatial_dims is not None:
-            for i in sel(
+            for i in table.select(
                 lambda s: s.node == ni
                 and s.kind != TEMPORAL
                 and s.dim not in cons.spatial_dims
@@ -522,7 +479,7 @@ def _validity_rules(table: SlotTable) -> tuple[_Rule, ...]:
             if node.directive(role) != TEMPORAL_REUSE:
                 continue
             proj = set(layer.einsum.projection(role))
-            tile = sel(
+            tile = table.select(
                 lambda s: s.dim in proj
                 and (s.node >= ni if s.kind == TEMPORAL else s.node > ni)
             )

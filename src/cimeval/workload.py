@@ -253,10 +253,14 @@ class WorkloadLayer:
             )
 
     def is_signed(self, role: str) -> bool:
+        """The ``signed`` entry when given, else whether the declared PMF
+        goes negative; an undeclared Outputs PMF defaults to signed."""
         if role in self.signed:
             return self.signed[role]
         pmf = self.pmfs.get(role)
-        return pmf is not None and pmf.min_value < 0
+        if pmf is None:
+            return role == "Outputs"
+        return pmf.min_value < 0
 
     def pmf_for(self, role: str) -> ValuePMF:
         """Declared PMF, or for Outputs a uniform default over the bit range."""
@@ -264,7 +268,7 @@ class WorkloadLayer:
             return self.pmfs[role]
         if role == "Outputs":
             b = self.bits[role]
-            if self.signed.get(role, True):
+            if self.is_signed(role):
                 return uniform_pmf(-(1 << (b - 1)), (1 << (b - 1)) - 1)
             return uniform_pmf(0, (1 << b) - 1)
         raise WorkloadError(f"layer {self.name!r}: no PMF for {role}")

@@ -69,8 +69,31 @@ def test_instance_counts_multiply_through_containers():
     assert instances(tree, "pe") == 8 * 64
 
 
+CONSTRAINED = """
+--- !Component
+name: buf
+class: buffer
+temporal_reuse: [Inputs, Weights, Outputs]
+attributes: {e_per_bit: 0.0, width: 8}
+--- !Container
+name: grid
+spatial: {meshX: 2}
+constraints: {spatial_dims: []}
+--- !Component
+name: pe
+class: sram_cell
+spatial: {meshX: 4}
+constraints:
+  keep_dims: [M]
+  max_tile: {K: 16, M: 2}
+  spatial_dims: [M]
+attributes: {e_mac: 0.0}
+"""
+
+
 def test_serialize_round_trip():
-    for text in (read_fixture("arch_crossbar.yaml"), HIER):
+    assert "constraints" in serialize_arch(parse_arch(CONSTRAINED))
+    for text in (read_fixture("arch_crossbar.yaml"), HIER, CONSTRAINED):
         tree = parse_arch(text)
         again = parse_arch(serialize_arch(tree))
         assert again == tree
@@ -217,6 +240,13 @@ def test_validate_constraint_dims_against_layer(crossbar_arch):
     tree = ArchTree(crossbar_arch.nodes[:-1] + (patched,))
     diags = validate(tree, _tiny_layer())
     assert any("unknown dims" in d for d in diags)
+    patched = dataclasses.replace(
+        crossbar_arch.nodes[-1], constraints=Constraints(spatial_dims=("M", "Y"))
+    )
+    tree = ArchTree(crossbar_arch.nodes[:-1] + (patched,))
+    assert validate(tree, _tiny_layer()) == [
+        "node 'cell': constraints name unknown dims ['Y']"
+    ]
 
 
 def test_constraints_parse_and_mesh_guards():

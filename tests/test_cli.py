@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cimeval import MappingSpace, __version__, parse_arch, parse_workload
+from cimeval import MappingSpace, __version__, cli, parse_arch, parse_workload
 from cimeval.cli import main
 
 from conftest import fixture_path, read_fixture
@@ -581,6 +581,37 @@ def test_oracle_compare_energy_tolerance(tmp_path, capsys):
     )
     assert rc == 0
     assert "verdict: match" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--seed", "-1"), ("--energy-tol", "nan"), ("--energy-tol", "-0.1"),
+     ("--energy-tol", "inf")],
+)
+def test_oracle_compare_rejects_bad_seed_and_tolerance(capsys, flag, value):
+    argv = ["oracle-compare", "--arch", ARCH, "--workload", WORKLOAD]
+    assert main(argv + ["--mapping", MAPPING, flag, value]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert value in err[0] and captured.out == ""
+
+
+def test_oracle_compare_reports_a_count_mismatch(monkeypatch, capsys):
+    real = cli.oracle_evaluate
+
+    def off_by_one(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.counts[("buffer", "Inputs", "read")] += 1
+        return res
+
+    monkeypatch.setattr(cli, "oracle_evaluate", off_by_one)
+    argv = ["oracle-compare", "--arch", ARCH, "--workload", WORKLOAD]
+    assert main(argv + ["--mapping", MAPPING]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert "MISMATCH buffer.Inputs.read: model=2 oracle=3" in lines
+    assert sum(line.startswith("MISMATCH") for line in lines) == 1
+    assert lines[-1] == "verdict: mismatch"
 
 
 def test_oracle_compare_rejects_padded_mapping(tmp_path, capsys):

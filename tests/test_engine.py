@@ -218,6 +218,15 @@ attributes:
     # main line keeps positives, companion line keeps magnitudes of negatives
     assert dctx.slices["Weights"][0].support == (0, 1)
     assert dctx.companions["Weights"][0].support == (0, 1, 2)
+    mag_node = parse_arch(
+        "--- !Component\nname: c\nclass: reram_cell\nattributes: "
+        "{t_read: 1.0e-9, g_max: 1.0e-6, weight_encoding: magnitude_only}"
+    ).leaf
+    mctx = build_action_context(mag_node, layer)
+    # magnitudes on the main line, and one unsliced sign line beside them
+    assert mctx.slices["Weights"][0].support == (0, 1, 2)
+    (sign,) = mctx.companions["Weights"]
+    assert sign.support == (0, 1) and sign.probs == (0.5, 0.5)
     with pytest.raises(EngineError, match="slice width"):
         build_action_context(
             parse_arch(
@@ -226,6 +235,15 @@ attributes:
             ).leaf,
             layer,
         )
+
+
+def test_negative_tensor_seed_is_an_engine_error(
+    crossbar_arch, tiny_layer, tiny_mapping
+):
+    with pytest.raises(EngineError, match="seed must be >= 0, got -1"):
+        draw_tensors(tiny_layer, -1)
+    with pytest.raises(EngineError, match="seed must be >= 0, got -3"):
+        oracle_evaluate(crossbar_arch, tiny_layer, tiny_mapping, seed=-3)
 
 
 def test_oracle_counts_match_closed_form(crossbar_arch, tiny_layer, tiny_mapping):

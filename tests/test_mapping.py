@@ -6,6 +6,7 @@ test_engine and test_acceptance.
 """
 
 import functools
+import hashlib
 import math
 import os
 import random
@@ -41,6 +42,7 @@ from cimeval.mapping import (
 from cimeval.workload import parse_workload
 
 from conftest import read_fixture
+from test_acceptance import _random_arch, _random_workload
 
 # buffer > dac > adc > cell, no reduction stage between ADC and buffer, and
 # the cell mesh multicasts inputs only; column outputs reach the buffer
@@ -444,6 +446,46 @@ def test_check_valid_messages_in_order():
     assert diag.warnings == [
         "dim 'M': loop bounds cover 8 iterations, padded beyond size 4"
     ]
+
+
+def _compiled_digest(pairs) -> str:
+    """sha256 over everything build_count_plan and _validity_rules compile
+    for each (arch text, layer) pair, in order."""
+    h = hashlib.sha256()
+    for arch_text, layer in pairs:
+        table, plan = build_count_plan(parse_arch(arch_text), layer)
+        rows = [(e.node, e.tensor, e.action, e.mode, e.idx_a, e.idx_b)
+                for e in plan.entries]
+        rows.append((plan.subsets, plan.terms, plan.cycles_sub, plan.all_sub,
+                     plan.mesh_capacity))
+        rows += [(r.kind, r.node, r.dim, r.terms, r.lo, r.hi) for r in table._rules]
+        for row in rows:
+            h.update(repr(row).encode())
+    return h.hexdigest()
+
+
+def test_compiled_plans_and_rules_are_pinned():
+    # Entry order is part of the pin: the search objective sums in plan-entry
+    # order.
+    pairs = [
+        (read_fixture("arch_crossbar.yaml"), layer)
+        for name in ("workload_tiny.yaml", "workload_conv.yaml")
+        for layer in parse_workload(read_fixture(name))
+    ]
+    pairs += [(text, tiny()) for text in (ARCH_NO_REDUCE, ARCH_HIER)]
+    unknown = ARCH_RULES_A.replace("keep_dims: [K]", "keep_dims: [Z]").replace(
+        "max_tile: {M: 2}", "keep_dims: [K], max_tile: {M: 2, Z: 3}"
+    )
+    square = parse_workload(LAYER_4X4)[0]
+    pairs += [(text, square) for text in (ARCH_RULES_A, ARCH_RULES_B, unknown)]
+    rng = random.Random(2024)
+    seen: set = set()
+    for trial in range(1, 401):
+        layer = parse_workload(_random_workload(rng, f"t{trial}"))[0]
+        pairs.append((_random_arch(rng, trial, seen), layer))
+    assert _compiled_digest(pairs) == (
+        "28cd47c8df0169fa700d1a8ae1845b1729b6323b08eb5614e359fa4031956ab0"
+    )
 
 
 def test_utilization_of_partial_occupancy():

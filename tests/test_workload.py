@@ -183,6 +183,16 @@ def test_signedness_inferred_from_support():
     assert layer2.is_signed("Inputs")
 
 
+def test_undeclared_outputs_signedness_matches_its_default_pmf():
+    bits = {"Inputs": 4, "Weights": 4, "Outputs": 8}
+    operands = {"Inputs": uniform_pmf(0, 7), "Weights": delta_pmf(3)}
+    for signed, expect in (({}, True), ({"Outputs": False}, False)):
+        layer = _layer(bits, dict(operands), signed=signed)
+        assert layer.is_signed("Outputs") is expect
+        assert (layer.pmf_for("Outputs").min_value < 0) is expect
+    assert _layer(bits, dict(operands)).pmf_for("Outputs").min_value == -128
+
+
 def test_pmf_file_and_table_specs(tmp_path):
     (tmp_path / "acts.txt").write_text("0 0 1 3\n3 3 0 0\n", encoding="utf-8")
     text = """
