@@ -44,6 +44,7 @@ from .engine import (
     search as engine_search,
 )
 from .mapping import (
+    OBJECTIVES,
     MapperConfig,
     Mapping,
     MappingError,
@@ -493,7 +494,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common_search(p):
         p.add_argument(
             "--objective",
-            choices=("energy", "latency", "edp"),
+            choices=OBJECTIVES,
             default="energy",
         )
         p.add_argument("--budget", type=int, default=1000)

@@ -384,7 +384,7 @@ def search(
     """
     evaluator = LayerEvaluator(arch, layer, registry)
     space = MappingSpace(arch, layer)
-    idxs = space.draw_indices(config.budget, config.seed)
+    idxs = space.draw_array(config.budget, config.seed)
     best = None
     valid = 0
     for kept, cols in space.scan(idxs):

@@ -39,8 +39,12 @@ LOOP_KINDS = (TEMPORAL, SPATIAL_X, SPATIAL_Y)
 
 COMPUTE_TENSOR = "all"
 
+#: what search minimizes
+OBJECTIVES = ("energy", "latency", "edp")
+
 # Indices MappingSpace.scan decodes at once.  A block's bounds and count
-# matrices are a few hundred kB, so memory stays flat for any budget.
+# matrices are a few hundred kB whatever the budget; the drawn indices,
+# one array of 8 bytes each (a Python int each past int64), grow with it.
 SCAN_BLOCK = 1024
 
 
@@ -126,6 +130,9 @@ class SlotTable:
             for kind in (LOOP_KINDS if ni in self.mesh_nodes else (TEMPORAL,))
             for dim, _ in self.dims
         )
+        # (slot id, bound) -> Loop: a Loop is immutable, so the mappings
+        # built here share one per pair
+        self._loops: dict[tuple[int, int], Loop] = {}
         self._node_names = tuple(n.name for n in arch.nodes)
         # (node name, kind, dim) -> slot id, the lookup a mapping loop needs
         self._slot_of = {
@@ -179,10 +186,15 @@ class SlotTable:
         """Canonical mapping: per node spatialX, spatialY then temporal loops,
         dims in layer order, bound-1 loops omitted."""
         per_node: dict[str, list[Loop]] = {}
+        loops = self._loops
         for i, node, dim, kind in self._canonical:
-            if bounds[i] == 1:
+            bound = bounds[i]
+            if bound == 1:
                 continue
-            per_node.setdefault(node, []).append(Loop(dim, bounds[i], kind))
+            loop = loops.get((i, bound))
+            if loop is None:
+                loop = loops[i, bound] = Loop(dim, bound, kind)
+            per_node.setdefault(node, []).append(loop)
         return Mapping(tuple((n, tuple(ls)) for n, ls in per_node.items()))
 
 
@@ -679,7 +691,6 @@ class MappingSpace:
         self.total = reduce(lambda a, b: a * b, self.radices, 1) if all(
             self.radices
         ) else 0
-        self._index_dtype = np.int64 if self.total <= 2**63 else object
 
     def bounds_ok(self, bounds):
         """check_valid's verdict on bounds this space generated, or a mask
@@ -703,22 +714,34 @@ class MappingSpace:
     def scan(self, indices):
         """Yield, per block of SCAN_BLOCK indices, the ones bounds_ok accepts
         (in the given order) and their bounds as columns: ``cols[s]`` holds
-        slot s's bound of each.  Indices decode as in bounds_at."""
-
-        digits = list(zip(self.table.dims, self.radices))
+        slot s's bound of each.  Indices decode as in bounds_at; an array
+        from draw_array is scanned as it is, with no conversion."""
+        indices = np.asarray(indices, _index_dtype(self.total))
+        digits = list(zip(self.table.dims, self.radices))[::-1]
+        # every block decodes into one buffer (slots no dim varies stay 1):
+        # what is yielded is a copy taken from it
+        buf = np.ones((len(self.table), min(len(indices), SCAN_BLOCK)), self._dtype)
         for start in range(0, len(indices), SCAN_BLOCK):
-            idx = np.array(indices[start : start + SCAN_BLOCK], self._index_dtype)
-            cols = np.ones((len(self.table), len(idx)), self._dtype)
+            idx = indices[start : start + SCAN_BLOCK]
+            cols = buf[:, : len(idx)]
             rem = idx
-            for (dim, _), radix in reversed(digits):
-                chosen = (rem % radix).astype(np.intp)
+            for (dim, _), radix in digits:
+                chosen = (rem % radix).astype(np.intp, copy=False)
                 rem = rem // radix
-                cols[self.dim_slots[dim]] = self.dim_choices[dim][chosen].T
-            ok = np.ones(len(idx), bool) & self.bounds_ok(cols)
-            yield idx[ok], cols[:, ok]
+                cols[self.dim_slots[dim]] = self.dim_choices[dim].take(chosen, 0).T
+            keep = np.flatnonzero(np.ones(len(idx), bool) & self.bounds_ok(cols))
+            yield idx.take(keep), cols.take(keep, 1)
 
     def mapping_at(self, index: int) -> Mapping:
         return self.table.mapping_from_bounds(self.bounds_at(index))
+
+    def draw_array(self, budget: int, seed: int) -> np.ndarray:
+        """draw_indices's indices as one array in the scan's index dtype:
+        int64, or Python ints for a space past 2**63.  search and
+        enumerate_mappings hand it to scan as it is."""
+        if self.total == 0 or self.total <= budget:
+            return np.arange(self.total, dtype=np.int64)
+        return _sample_sorted(self.total, budget, seed)
 
     def draw_indices(self, budget: int, seed: int) -> list[int]:
         """Deterministic index stream: every index when the space fits the
@@ -726,15 +749,17 @@ class MappingSpace:
         ascending order.  The sample is the set that
         ``random.Random(seed).sample(range(total), budget)`` picks, drawn in
         one pass, and spaces past 2**63, where that call overflows, are
-        sampled by the same rule."""
-        if self.total == 0:
-            return []
-        if self.total <= budget:
-            return list(range(self.total))
-        return _sample_sorted(self.total, budget, seed)
+        sampled by the same rule.  This is draw_array as a list; search and
+        enumerate_mappings keep the array from the draw to the scan."""
+        return self.draw_array(budget, seed).tolist()
 
 
-def _sample_sorted(total: int, budget: int, seed: int) -> list[int]:
+def _index_dtype(total: int):
+    """dtype of the indices of a space of `total` mappings."""
+    return np.int64 if total <= 2**63 else object
+
+
+def _sample_sorted(total: int, budget: int, seed: int) -> np.ndarray:
     """sorted(random.Random(seed).sample(range(total), budget)), without a
     Python call per index once total is past the stdlib's small-set size.
 
@@ -742,19 +767,21 @@ def _sample_sorted(total: int, budget: int, seed: int) -> list[int]:
     has `budget` distinct values below total.  A draw of b bits reads
     ceil(b/32) 32-bit generator outputs, lowest word first, and drops the
     top word's low bits; one getrandbits over many whole words returns the
-    same outputs in the same order, so a block of draws is decoded here."""
+    same outputs in the same order, so a block of draws is decoded here.
+    The sample is returned as an array in the space's index dtype."""
     if budget < 0:
         raise ValueError(f"sample budget must be >= 0, got {budget}")
+    index_dtype = _index_dtype(total)
     rng = random.Random(seed)
     setsize = 21
     if budget > 5:
         setsize += 4 ** math.ceil(math.log(budget * 3, 4))
     if total <= setsize:
         # the stdlib shuffles a list here instead
-        return sorted(rng.sample(range(total), budget))
+        return np.array(sorted(rng.sample(range(total), budget)), index_dtype)
     bits = total.bit_length()
     words = -(-bits // 32)
-    dtype = np.uint64 if bits <= 64 else object
+    dtype = np.int64 if bits < 64 else object
     accepted = np.empty(0, dtype)
     need = budget
     while True:
@@ -769,12 +796,13 @@ def _sample_sorted(total: int, budget: int, seed: int) -> list[int]:
         if len(accepted) >= budget:
             head = np.sort(accepted[:budget])
             if (head[1:] != head[:-1]).all():
-                return head.tolist()
+                return head.astype(index_dtype, copy=False)
         # a repeat is redrawn, so the sample is the first `budget` values
         # in order of first appearance
         _, first = np.unique(accepted, return_index=True)
         if len(first) >= budget:
-            return np.sort(accepted[np.sort(first)[:budget]]).tolist()
+            head = np.sort(accepted[np.sort(first)[:budget]])
+            return head.astype(index_dtype, copy=False)
         need = budget - len(first)
 
 
@@ -785,7 +813,16 @@ class MapperConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.budget, int) or self.budget < 1:
+        if self.objective not in OBJECTIVES:
+            raise MappingError(
+                f"objective must be one of {', '.join(OBJECTIVES)}, "
+                f"got {self.objective!r}"
+            )
+        if (
+            not isinstance(self.budget, int)
+            or isinstance(self.budget, bool)
+            or self.budget < 1
+        ):
             raise MappingError(f"budget must be an integer >= 1, got {self.budget!r}")
 
 
@@ -797,7 +834,7 @@ def enumerate_mappings(
 ):
     """Yield (index, mapping) pairs for valid mappings, deterministically."""
     space = MappingSpace(arch, layer)
-    for kept, cols in space.scan(space.draw_indices(budget, seed)):
+    for kept, cols in space.scan(space.draw_array(budget, seed)):
         for idx, bounds in zip(kept.tolist(), cols.T.tolist()):
             yield idx, space.table.mapping_from_bounds(bounds)
 

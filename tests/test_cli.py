@@ -775,6 +775,16 @@ def test_search_refuses_a_dim_it_cannot_factor(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["layers"]["tiny"]["best_index"] >= 0
 
 
+def test_search_refuses_a_dim_past_max_per_dim(monkeypatch, capsys):
+    monkeypatch.setattr(MappingSpace, "MAX_PER_DIM", 100)
+    argv = ["search", "--arch", ARCH, "--workload", CONV_WORKLOAD, "--budget", "20"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "exceeds 100 factorizations" in err[0] and captured.out == ""
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -29,6 +29,7 @@ from cimeval.mapping import (
     Loop,
     Mapping,
     MapperConfig,
+    MappingError,
     enumerate_mappings,
     parse_mapping,
 )
@@ -678,6 +679,17 @@ def test_search_empty_space_returns_none(tiny_layer):
     )
     arch = parse_arch(text)
     assert search(arch, tiny_layer, MapperConfig(budget=100, seed=0)) is None
+
+
+def test_a_bogus_objective_fails_even_where_no_candidate_is_valid(tiny_layer):
+    # a one-bit buffer holds no tile, so the scan never prices a candidate
+    # and could not see the objective
+    arch = parse_arch(
+        read_fixture("arch_crossbar.yaml").replace("width: 8", "width: 8\n  capacity: 1")
+    )
+    assert search(arch, tiny_layer, MapperConfig(budget=100)) is None
+    with pytest.raises(MappingError, match="objective must be one of"):
+        MapperConfig(objective="bogus", budget=100)
 
 
 def test_latency_objective_prefers_spatial(crossbar_arch):

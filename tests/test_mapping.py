@@ -23,6 +23,7 @@ import cimeval
 from cimeval.archspec import parse_arch
 from cimeval.engine import LayerEvaluator, _objective, search
 from cimeval.mapping import (
+    OBJECTIVES,
     SCAN_BLOCK,
     Loop,
     MapperConfig,
@@ -910,3 +911,73 @@ def test_objective_is_a_left_to_right_float_sum(case, data):
                     objective, energy * latency
                 )
                 assert v == ev.objective_value(bounds, objective) == want
+
+
+# sha256 over (seed, index, serialized mapping) of every mapping that
+# enumerate_mappings yields for conv3x3 on the crossbar, budget 2,000,
+# seeds 0 to 2
+LIBRARY_DIGEST = "91ec624fc8def47bb74925c4ec260c3847ce8a78acac2bb99e92aa702a20e03f"
+
+
+def test_enumerated_mappings_are_pinned_and_share_their_loops(crossbar_arch):
+    layer = parse_workload(read_fixture("workload_conv.yaml"))[0]
+    digest = hashlib.sha256()
+    for seed in range(3):
+        # (node, kind, dim, bound) -> the first Loop seen for it, kept alive
+        # so that no later object can reuse its id
+        first: dict = {}
+        count = 0
+        for idx, mapping in enumerate_mappings(crossbar_arch, layer, 2000, seed):
+            text = serialize_mapping(mapping)
+            digest.update(f"{seed}|{idx}|{text}".encode())
+            assert parse_mapping(text) == mapping
+            for node, loops in mapping.loops:
+                for loop in loops:
+                    key = (node, loop.kind, loop.dim, loop.bound)
+                    assert first.setdefault(key, loop) is loop
+                    count += 1
+        # the same (slot, bound) recurs across mappings
+        assert count > len(first)
+    assert digest.hexdigest() == LIBRARY_DIGEST
+
+
+def test_draw_array_is_draw_indices_in_the_scan_index_dtype(crossbar_arch, tiny_layer):
+    space = MappingSpace(crossbar_arch, tiny_layer)
+    for total, budget, dtype in (
+        (49, 100, np.int64),
+        (2**40, 50, np.int64),
+        (2**63, 50, np.int64),
+        (2**63 + 1, 50, object),
+        (2**70, 50, object),
+    ):
+        # draw_array reads nothing of the space but its total
+        space.total = total
+        drawn = space.draw_array(budget, seed=3)
+        assert drawn.dtype == dtype
+        assert drawn.tolist() == space.draw_indices(budget, seed=3)
+    space = MappingSpace(crossbar_arch, parse_workload(read_fixture("workload_conv.yaml"))[0])
+    drawn = space.draw_array(3 * SCAN_BLOCK, seed=2)
+    blocks = [(k.tolist(), c.tolist()) for k, c in space.scan(drawn)]
+    assert blocks == [(k.tolist(), c.tolist()) for k, c in space.scan(drawn.tolist())]
+
+
+def test_mapping_space_refuses_a_dim_past_max_per_dim(crossbar_arch, monkeypatch):
+    layer = parse_workload(read_fixture("workload_conv.yaml"))[0]
+    # conv3x3's C and M have 532 factorizations each on the crossbar
+    monkeypatch.setattr(MappingSpace, "MAX_PER_DIM", 531)
+    with pytest.raises(MappingError, match="dim 'C' exceeds 531 factorizations"):
+        MappingSpace(crossbar_arch, layer)
+    monkeypatch.setattr(MappingSpace, "MAX_PER_DIM", 532)
+    assert MappingSpace(crossbar_arch, layer).radices[:2] == [532, 532]
+
+
+def test_mapper_config_rejects_an_unknown_objective_and_a_bool_budget():
+    assert [MapperConfig(o).objective for o in OBJECTIVES] == [
+        "energy", "latency", "edp"
+    ]
+    for objective in ("bogus", "Energy", "", None):
+        with pytest.raises(MappingError, match="objective must be one of"):
+            MapperConfig(objective=objective)
+    for budget in (True, False, 0, -3, 2.0, "10"):
+        with pytest.raises(MappingError, match="budget must be an integer"):
+            MapperConfig(budget=budget)
