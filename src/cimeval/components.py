@@ -241,6 +241,26 @@ def _event_count(values: dict[str, np.ndarray]) -> int:
     return lengths.pop()
 
 
+def _distinct_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(values, return_inverse=True) over the flattened values.
+
+    When the values are integers spanning at most as many levels as there
+    are values, one bincount over value - min finds them without a sort;
+    a wider span keeps np.unique, so a sparse PMF allocates nothing large.
+    """
+    flat = np.ravel(values)
+    if flat.size == 0 or not np.can_cast(flat.dtype, np.intp):
+        return np.unique(flat, return_inverse=True)
+    ints = flat.astype(np.intp, copy=False)
+    low = int(ints.min())
+    if int(ints.max()) - low >= ints.size:
+        return np.unique(flat, return_inverse=True)
+    offsets = ints - low
+    present = np.bincount(offsets) > 0
+    distinct = (np.flatnonzero(present) + low).astype(flat.dtype)
+    return distinct, (np.cumsum(present) - 1)[offsets]
+
+
 def _mean_slice_quantity(
     values: dict[str, np.ndarray], ctx: ActionContext, role: str, per_slice
 ) -> np.ndarray:
@@ -248,7 +268,7 @@ def _mean_slice_quantity(
     value of role, computed once per distinct value."""
     enc = ctx.encodings[role]
     widths = _slice_widths(ctx, role)
-    distinct, inverse = np.unique(np.ravel(values[role]), return_inverse=True)
+    distinct, inverse = _distinct_values(values[role])
     means = np.empty(len(distinct))
     for i, value in enumerate(distinct.tolist()):
         levels = [encode_value(int(value), enc)]

@@ -429,6 +429,19 @@ def draw_tensors(layer: WorkloadLayer, seed: int) -> dict[str, np.ndarray]:
     return out
 
 
+def _first_events(keys: np.ndarray, key_range: int) -> np.ndarray:
+    """Index of the first occurrence of each distinct key, in ascending key order.
+
+    Every key lies in [0, key_range).  One minimum pass over a key_range
+    array gives what np.unique(keys, return_index=True)[1] gives, without a
+    sort; a key that never occurs yields no index.
+    """
+    n = len(keys)
+    first = np.full(key_range, n, dtype=np.intp)
+    np.minimum.at(first, keys, np.arange(n, dtype=np.intp))
+    return first[first < n]
+
+
 @dataclass
 class OracleResult:
     layer: str
@@ -454,8 +467,13 @@ def oracle_evaluate(
     key is the point's coordinates over the slots a component can
     distinguish (sibling multicast and wired reduction drop the collapsed
     mesh coordinates, tile refills drop the coordinates that iterate inside
-    one tile).  Value-dependent components price every event on its own
-    drawn operand values, through one oracle_energy array call per stage,
+    one tile), read as a mixed-radix number.  Keys are built by
+    broadcasting over the nest's shape, and the distinct ones are found by
+    one pass over an array of the key range, which is never larger than
+    the nest, not by a sort.  Value-dependent components price every event
+    on its own drawn operand values, through one oracle_energy array call
+    per stage (the cell and DAC find the distinct values by a bincount over
+    the value span, or np.unique when the span is wider than the events),
     and each stage's prices are summed with math.fsum, which rounds the
     exact sum once.
     """
@@ -476,6 +494,7 @@ def oracle_evaluate(
         )
 
     nest_ids = [i for i, b in enumerate(bounds) if b > 1]
+    shape = [bounds[sid] for sid in nest_ids]
     slots = table.slots
     nodes = arch.nodes
     leaf_i = len(nodes) - 1
@@ -492,31 +511,37 @@ def oracle_evaluate(
     role_dims = {r: layer.einsum.projection(r) for r in ROLES}
     sizes = layer.einsum.dim_sizes
 
-    def radix(ids) -> dict[int, int]:
-        """Mixed-radix weights of the slots in `ids`, the last one fastest."""
+    def radix(ids) -> tuple[dict[int, int], int]:
+        """Mixed-radix weights of the slots in `ids`, the last one fastest,
+        and the number of keys they span."""
         weight, step = {}, 1
         for sid in reversed(nest_ids):
             if sid in ids:
                 weight[sid] = step
                 step *= bounds[sid]
-        return weight
+        return weight, step
 
     def linear(weight: dict[int, int]) -> np.ndarray:
         """Sum of weight[slot] * coordinate at every nest point, in walk order.
 
-        One outer sum per slot, the last slot fastest; slots without a
-        weight still multiply the points.
+        The weighted slots' terms are summed by broadcasting, then one
+        C-order copy to the nest's shape (the last slot fastest) repeats
+        them over the slots without a weight.
         """
-        out = np.zeros(1, dtype=np.int64)
-        for sid in nest_ids:
-            step = weight.get(sid, 0)
-            out = np.add.outer(out, np.arange(bounds[sid], dtype=np.int64) * step)
-            out = out.ravel()
-        return out
+        ndim = len(shape)
+        acc = np.zeros((1,) * ndim, dtype=np.int64)
+        for axis, sid in enumerate(nest_ids):
+            if sid in weight:
+                term = np.arange(bounds[sid], dtype=np.int64) * weight[sid]
+                acc = acc + term.reshape((-1,) + (1,) * (ndim - 1 - axis))
+        if acc.size < n_points:
+            acc = np.broadcast_to(acc, shape).copy()
+        return acc.ravel()
 
     def first_events(ids) -> np.ndarray:
         """Walk-order index of the first point of each distinct key over `ids`."""
-        return np.unique(linear(radix(ids)), return_index=True)[1]
+        weight, key_range = radix(ids)
+        return _first_events(linear(weight), key_range)
 
     def point_values(role: str) -> np.ndarray:
         """The role's operand value at every nest point, in walk order.
@@ -530,7 +555,7 @@ def oracle_evaluate(
             acc *= sizes[d]
         weight: dict[int, int] = {}
         for d, stride in dim_stride.items():
-            fold = radix([sid for sid in nest_ids if slots[sid].dim == d])
+            fold, _ = radix([sid for sid in nest_ids if slots[sid].dim == d])
             weight.update((sid, step * stride) for sid, step in fold.items())
         return np.ravel(tensors[role])[linear(weight)]
 
@@ -592,8 +617,8 @@ def oracle_evaluate(
             # written before and updates otherwise
             name = nodes[t].name
             first = first_events(ids)
-            out_keys = linear(radix([sid for sid in ids if rel(sid)]))[first]
-            writes = len(np.unique(out_keys))
+            out_keys = linear(radix([sid for sid in ids if rel(sid)])[0])[first]
+            writes = int(np.count_nonzero(np.bincount(out_keys)))
             updates = len(first) - writes
             tally((name, role, "write"), writes)
             tally((name, role, "update"), updates)

@@ -30,7 +30,7 @@ from .archspec import (
     ArchError,
     ArchTree,
 )
-from .workload import ROLES, YAML_LOADER, WorkloadLayer, yaml_error
+from .workload import ROLES, YAML_DUMPER, YAML_LOADER, WorkloadLayer, yaml_error
 
 TEMPORAL = "temporal"
 SPATIAL_X = "spatialX"
@@ -887,4 +887,4 @@ def parse_mapping(text: str) -> Mapping:
 
 
 def serialize_mapping(mapping: Mapping) -> str:
-    return yaml.safe_dump({"nodes": mapping.to_doc()}, sort_keys=False)
+    return yaml.dump({"nodes": mapping.to_doc()}, Dumper=YAML_DUMPER, sort_keys=False)

@@ -29,6 +29,9 @@ MAX_BITS = 1023
 # when PyYAML was built with them, else PyYAML's own.  Constructors and
 # resolvers are PyYAML's Python code under both, so a document loads the same.
 YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+# Mappings are written with libyaml's emitter when PyYAML was built with it.
+# Representers are PyYAML's Python code under both, so the text is the same.
+YAML_DUMPER = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
 
 
 class WorkloadError(ValueError):

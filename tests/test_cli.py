@@ -536,6 +536,25 @@ def test_sweep_zips_params_and_rejects_bad_specs(tmp_path, capsys):
     assert "not a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("cell.t_read", "must look like node.attr=v1,v2"),
+        ("t_read=1e-9", "path must be node.attr"),
+        ("cell.t_read=1e-9,fast", "value 'fast' is not a number"),
+        ("cell.t_read= , ", "has no values"),
+    ],
+)
+def test_sweep_rejects_a_malformed_param_in_one_line(capsys, spec, message):
+    argv = ["sweep", "--arch", ARCH, "--workload", WORKLOAD, "--param", spec]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert message in err[0]
+    assert "Traceback" not in captured.err and not captured.out
+
+
 def test_oracle_compare_counts_match(capsys):
     rc = main(
         ["oracle-compare", "--arch", ARCH, "--workload", WORKLOAD, "--mapping", MAPPING]

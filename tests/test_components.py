@@ -16,6 +16,7 @@ from cimeval.components import (
     ModelRegistry,
     SramCellModel,
     WireModel,
+    _distinct_values,
     adc_area,
     adc_convert_energy,
     DEFAULT_ADC_FOM,
@@ -108,6 +109,29 @@ def test_memcell_differential_companion_adds_conductance():
     assert memcell_read_energy(both) == pytest.approx(
         (g_main + g_comp) * v2 * T_READ, rel=1e-14, abs=0
     )
+
+
+def test_distinct_values_equal_np_unique_with_its_inverse():
+    rng = np.random.default_rng(23)
+    cases = [
+        rng.integers(0, 256, 1000),  # dense: span below the count
+        rng.integers(-128, 128, 300),  # dense and negative
+        rng.integers(0, 10**6, 50),  # sparse: span above the count, np.unique
+        np.array([-(2**40), 3, 2**40]),
+        np.array([7]),
+        np.array([], dtype=np.int64),
+        rng.integers(-8, 8, (6, 5)),  # flattened like np.unique
+        rng.integers(-128, 128, 400).astype(np.int8),
+        np.array([0.5, -1.0, 0.5]),  # not integers, np.unique
+    ]
+    for values in cases:
+        distinct, inverse = _distinct_values(values)
+        want_distinct, want_inverse = np.unique(values, return_inverse=True)
+        assert distinct.dtype == want_distinct.dtype
+        assert inverse.dtype == want_inverse.dtype
+        assert np.array_equal(distinct, want_distinct), values
+        assert np.array_equal(inverse, np.ravel(want_inverse)), values
+        assert np.array_equal(distinct[inverse], np.ravel(values))
 
 
 def test_memcell_oracle_energy_matches_average_over_support():

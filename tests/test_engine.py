@@ -590,6 +590,26 @@ def test_oracle_outputs_are_pinned_bit_for_bit():
         assert got.counts == evaluate(arch, layer, mapping).counts, name
 
 
+def test_first_events_equal_the_first_indices_np_unique_returns():
+    rng = np.random.default_rng(17)
+    cases = [
+        # every key occurs, walk order shuffled
+        (rng.permutation(np.repeat(np.arange(12), 5)), 12),
+        # most keys in the range never occur
+        (rng.integers(0, 400, 50) * 3, 1200),
+        (np.array([5, 5, 2, 9, 2, 5]), 10),
+        # a single-point nest and a one-key range
+        (np.array([0]), 1),
+        (np.zeros(9, dtype=np.int64), 1),
+    ]
+    cases += [(rng.integers(0, k, n), k) for k, n in ((7, 100), (100, 100), (64, 20))]
+    for keys, key_range in cases:
+        got = engine._first_events(keys, key_range)
+        want = np.unique(keys, return_index=True)[1]
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), (keys, key_range)
+
+
 # only the cell costs energy, so the oracle's total is its compute term
 FREE_BUFFER_CELL = """
 --- !Component
