@@ -229,8 +229,6 @@ def _as_name_tuple(node_name: str, key: str, raw) -> tuple[str, ...]:
 
 
 def _node_from_doc(kind: str, doc: dict) -> ArchNode:
-    if not isinstance(doc, dict):
-        raise ArchError(f"{kind} document must be a mapping")
     name = doc.get("name")
     if not name:
         raise ArchError(f"{kind} document missing a name")

@@ -77,13 +77,8 @@ class _CliError(Exception):
         self.code = code
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _input_entry(path: str) -> dict:
-    p = Path(path)
-    return {"path": str(path), "sha256": _sha256(p)}
+    return {"path": path, "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
 
 
 def _read(path: str, what: str) -> str:
@@ -152,15 +147,28 @@ def _check_finite(*values: float) -> None:
         raise _CliError(_NON_FINITE)
 
 
-def _emit_report(report: dict, out: str | None) -> None:
-    try:
-        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    except ValueError:
-        raise _CliError(_NON_FINITE) from None
+def _write(text: str, out: str | None) -> None:
+    """Write a report to the --out file, or to stdout without one."""
     if out:
         Path(out).write_text(text, encoding="utf-8", newline="\n")
     else:
         sys.stdout.write(text)
+
+
+def _emit_report(args, command: str, inputs, **fields) -> None:
+    """Write ``command``'s JSON report, headed by the path and sha256 of
+    each input file ``inputs`` names (as args attributes)."""
+    report = {
+        "command": command,
+        "version": __version__,
+        "inputs": {name: _input_entry(getattr(args, name)) for name in inputs},
+        **fields,
+    }
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise _CliError(_NON_FINITE) from None
+    _write(text, args.out)
 
 
 def _check_arch(arch: ArchTree, layers, failed: str) -> None:
@@ -194,23 +202,18 @@ def _cmd_evaluate(args) -> int:
         raise _CliError("invalid mapping: " + "; ".join(diag.errors))
     evaluator = LayerEvaluator(arch, layer)
     res = evaluator.evaluate(mapping)
-    report = {
-        "command": "evaluate",
-        "version": __version__,
-        "inputs": {
-            "arch": _input_entry(args.arch),
-            "workload": _input_entry(args.workload),
-            "mapping": _input_entry(args.mapping),
-        },
-        "layer": layer.name,
-        "mapping": mapping.to_doc(),
-        "metrics": _metrics_doc(res),
-        "counts": _counts_doc(res.counts),
-        "breakdown": _breakdown_doc(res.breakdown),
-        "energy_table_fingerprint": evaluator.table.fingerprint,
-        "diagnostics": {"warnings": diag.warnings},
-    }
-    _emit_report(report, args.out)
+    _emit_report(
+        args,
+        "evaluate",
+        ("arch", "workload", "mapping"),
+        layer=layer.name,
+        mapping=mapping.to_doc(),
+        metrics=_metrics_doc(res),
+        counts=_counts_doc(res.counts),
+        breakdown=_breakdown_doc(res.breakdown),
+        energy_table_fingerprint=evaluator.table.fingerprint,
+        diagnostics={"warnings": diag.warnings},
+    )
     return EXIT_OK
 
 
@@ -252,20 +255,16 @@ def _cmd_search(args) -> int:
             )
     totals["area_m2"] = area
     totals["edp_js"] = totals["energy_j"] * totals["latency_s"]
-    report = {
-        "command": "search",
-        "version": __version__,
-        "inputs": {
-            "arch": _input_entry(args.arch),
-            "workload": _input_entry(args.workload),
-        },
-        "objective": args.objective,
-        "budget": args.budget,
-        "seed": args.seed,
-        "layers": per_layer,
-        "totals": totals,
-    }
-    _emit_report(report, args.out)
+    _emit_report(
+        args,
+        "search",
+        ("arch", "workload"),
+        objective=args.objective,
+        budget=args.budget,
+        seed=args.seed,
+        layers=per_layer,
+        totals=totals,
+    )
     return EXIT_OK
 
 
@@ -375,11 +374,7 @@ def _cmd_sweep(args) -> int:
                     repr(res.area_m2),
                 ]
             )
-    text = buf.getvalue()
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8", newline="\n")
-    else:
-        sys.stdout.write(text)
+    _write(buf.getvalue(), args.out)
     return EXIT_OK
 
 
@@ -417,24 +412,19 @@ def _cmd_oracle_compare(args) -> int:
     lines.append(f"verdict: {verdict}")
     sys.stdout.write("\n".join(lines) + "\n")
     if args.out:
-        report = {
-            "command": "oracle-compare",
-            "version": __version__,
-            "inputs": {
-                "arch": _input_entry(args.arch),
-                "workload": _input_entry(args.workload),
-                "mapping": _input_entry(args.mapping),
-            },
-            "layer": layer.name,
-            "seed": args.seed,
-            "counts_model": _counts_doc(res.counts),
-            "counts_oracle": _counts_doc(oracle.counts),
-            "energy_model_j": res.energy_j,
-            "energy_oracle_j": oracle.energy_j,
-            "energy_relative_gap": gap,
-            "verdict": verdict,
-        }
-        _emit_report(report, args.out)
+        _emit_report(
+            args,
+            "oracle-compare",
+            ("arch", "workload", "mapping"),
+            layer=layer.name,
+            seed=args.seed,
+            counts_model=_counts_doc(res.counts),
+            counts_oracle=_counts_doc(oracle.counts),
+            energy_model_j=res.energy_j,
+            energy_oracle_j=oracle.energy_j,
+            energy_relative_gap=gap,
+            verdict=verdict,
+        )
     return EXIT_OK if verdict == "match" else EXIT_MISMATCH
 
 

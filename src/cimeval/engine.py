@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .archspec import (
-    BYPASS,
     COALESCE,
     NO_COALESCE,
     TEMPORAL_REUSE,
@@ -467,7 +466,12 @@ def oracle_evaluate(
     key is the point's coordinates over the slots a component can
     distinguish (sibling multicast and wired reduction drop the collapsed
     mesh coordinates, tile refills drop the coordinates that iterate inside
-    one tile), read as a mixed-radix number.  Keys are built by
+    one tile), read as a mixed-radix number.  Each role is walked once,
+    from the leaf to the root, with the branches in the order the count
+    plan compiles them: the walk carries the slot set of the demand, drops
+    a node's spatial slots the role does not index where the node reuses
+    it spatially, and counts each directive's stage as distinct keys over
+    its slots; it shares no code with the plan.  Keys are built by
     broadcasting over the nest's shape, and the distinct ones are found by
     one pass over an array of the key range, which is never larger than
     the nest, not by a sort.  Value-dependent components price every event
@@ -574,109 +578,66 @@ def oracle_evaluate(
     else:
         energy_terms = [n_points * unit_energy(leaf.name, "compute")]
 
-    def tally(key: tuple[str, str, str], n: int) -> None:
-        counts[key] = counts.get(key, 0) + n
-
-    def compile_role(role: str) -> None:
-        proj = set(role_dims[role])
-        emitting = role == "Outputs"
-
-        def rel(sid: int) -> bool:
-            return slots[sid].dim in proj
-
-        def is_spatial(sid: int) -> bool:
-            return slots[sid].kind != TEMPORAL
-
-        def tile_ids(t: int) -> frozenset[int]:
-            keep = set()
-            for sid in nest_ids:
-                s = slots[sid]
-                if is_spatial(sid) and s.node <= t:
-                    keep.add(sid)
-                elif not is_spatial(sid) and rel(sid) and s.node < t:
-                    keep.add(sid)
-            return frozenset(keep)
-
-        def add_count(t: int, action: str, ids, per_value: bool):
-            node = nodes[t]
-            model = models[node.name]
-            first = first_events(ids)
-            tally((node.name, role, action), len(first))
-            # a role with no drawn operands (Outputs) prices at the average:
-            # n * p is the correctly rounded sum of n copies of p
-            if not (per_value and role in model.value_dependent_on and role in operands):
-                energy_terms.append(len(first) * unit_energy(node.name, action))
-                return
+    def price(t: int, role: str, action: str, ids, per_value: bool = True) -> None:
+        """Count node t's (role, action) events, one per distinct key over
+        `ids`, and price them."""
+        name = nodes[t].name
+        model = models[name]
+        first = first_events(ids)
+        counts[(name, role, action)] = len(first)
+        # a role with no drawn operands (Outputs) prices at the average:
+        # n * p is the correctly rounded sum of n copies of p
+        if per_value and role in model.value_dependent_on and role in operands:
             prices = model.oracle_energy(
-                action, contexts[node.name], {role: operands[role][first]}
+                action, contexts[name], {role: operands[role][first]}
             )
             energy_terms.append(math.fsum(prices.tolist()))
+        else:
+            energy_terms.append(len(first) * unit_energy(name, action))
 
-        def add_pair(t: int, ids) -> None:
-            # a first in-tile event writes when its output has not been
-            # written before and updates otherwise
-            name = nodes[t].name
-            first = first_events(ids)
-            out_keys = linear(radix([sid for sid in ids if rel(sid)])[0])[first]
-            writes = int(np.count_nonzero(np.bincount(out_keys)))
-            updates = len(first) - writes
-            tally((name, role, "write"), writes)
-            tally((name, role, "update"), updates)
-            energy_terms.append(
-                writes * unit_energy(name, "write")
-                + updates * unit_energy(name, "update")
+    spatial = frozenset(sid for sid in nest_ids if slots[sid].kind != TEMPORAL)
+    for role in ROLES:
+        rel = frozenset(sid for sid in nest_ids if slots[sid].dim in role_dims[role])
+
+        def tile_ids(t: int) -> frozenset[int]:
+            return frozenset(
+                sid
+                for sid in nest_ids
+                if (sid in spatial and slots[sid].node <= t)
+                or (sid in rel and slots[sid].node < t)
             )
 
         demand = frozenset(nest_ids)
-
-        def visit(t: int) -> None:
-            nonlocal demand
-            node = nodes[t]
-            d = node.directive(role)
-            if d == BYPASS:
-                return
+        for t in range(leaf_i, -1, -1):
+            if t < leaf_i and nodes[t + 1].reuses_spatially(role):
+                demand = demand - {
+                    sid for sid in spatial - rel if slots[sid].node == t + 1
+                }
+            d = nodes[t].directive(role)
             if d == NO_COALESCE:
-                add_count(t, "convert", demand, per_value=True)
-                return
-            if d == COALESCE:
-                add_count(t, "compute", demand, per_value=True)
-                if emitting:
-                    demand = tile_ids(t)
-                else:
-                    demand = frozenset(
-                        sid
-                        for sid in nest_ids
-                        if (is_spatial(sid) and slots[sid].node <= t) or rel(sid)
+                price(t, role, "convert", demand)
+            elif d == COALESCE:
+                price(t, role, "compute", demand)
+                demand = tile_ids(t) if role == "Outputs" else tile_ids(t) | rel
+            elif d == TEMPORAL_REUSE:
+                if role == "Outputs":
+                    # a first in-tile event writes when its output has not
+                    # been written before and updates otherwise
+                    name = nodes[t].name
+                    writes = len(first_events(demand & rel))
+                    updates = len(first_events(demand)) - writes
+                    counts[(name, role, "write")] = writes
+                    counts[(name, role, "update")] = updates
+                    energy_terms.append(
+                        writes * unit_energy(name, "write")
+                        + updates * unit_energy(name, "update")
                     )
-                return
-            # temporal reuse
-            if emitting:
-                add_pair(t, demand)
-            else:
-                add_count(t, "read", demand, per_value=True)
-                add_count(t, "fill", tile_ids(t), per_value=False)
-            demand = tile_ids(t)
-
-        if nodes[leaf_i].directive(role) == TEMPORAL_REUSE:
-            if emitting:
-                add_pair(leaf_i, demand)
-            else:
-                add_count(leaf_i, "fill", tile_ids(leaf_i), per_value=False)
-            demand = tile_ids(leaf_i)
-        else:
-            visit(leaf_i)
-
-        for m in range(leaf_i, 0, -1):
-            if nodes[m].reuses_spatially(role):
-                demand = frozenset(
-                    sid
-                    for sid in demand
-                    if not (slots[sid].node == m and is_spatial(sid) and not rel(sid))
-                )
-            visit(m - 1)
-
-    for role in ROLES:
-        compile_role(role)
+                else:
+                    # the leaf's compute reads its own tile
+                    if t < leaf_i:
+                        price(t, role, "read", demand)
+                    price(t, role, "fill", tile_ids(t), per_value=False)
+                demand = tile_ids(t)
 
     temporal_ids = [sid for sid in nest_ids if slots[sid].kind == TEMPORAL]
     return OracleResult(

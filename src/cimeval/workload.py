@@ -315,6 +315,10 @@ def _pmf_from_table(params) -> ValuePMF:
         raise WorkloadError(f"bad PMF table {params!r}") from exc
     if None in support:
         raise WorkloadError(f"bad PMF table {params!r}: support values are integers")
+    if len(support) != len(probs):
+        raise WorkloadError(
+            f"bad PMF table {params!r}: support and probs lengths differ"
+        )
     order = sorted(range(len(support)), key=lambda i: support[i])
     return ValuePMF(
         tuple(support[i] for i in order),

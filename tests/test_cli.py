@@ -45,6 +45,7 @@ layers:
 
 _BUFFER_REUSE = "temporal_reuse: [Inputs, Outputs]\n"
 _CONSTRAINED = _BUFFER_REUSE + "constraints: "
+_FIRST_NODE = "--- !Component\nname: buffer\n"
 _TINY_BITS = "    bits: {Inputs: 1, Weights: 1, Outputs: 8}\n"
 _TINY_PMF = (
     "    pmf:\n      Inputs: {two_point: [0, 1, 0.25]}\n      Weights: {delta: 1}\n"
@@ -228,6 +229,31 @@ def test_broken_architecture_exits_two(tmp_path, capsys):
         ("arch_crossbar.yaml", "class: adc", "class: [1]"),
         ("arch_crossbar.yaml", "class: adc", "class: {a: 1}"),
         ("workload_tiny.yaml", "bits: {Inputs: 1,", "bits: {Inputs: 99999999999999999999,"),
+        ("arch_crossbar.yaml", _BUFFER_REUSE, _CONSTRAINED + "{pin: [M]}\n"),
+        ("arch_crossbar.yaml", _BUFFER_REUSE, _CONSTRAINED + "{max_tile: [M]}\n"),
+        ("arch_crossbar.yaml", "attributes:\n  resolution: 8\n", "attributes: [8]\n"),
+        ("arch_crossbar.yaml", _FIRST_NODE, "---\ndefaults: [1]\n" + _FIRST_NODE),
+        ("arch_crossbar.yaml", _FIRST_NODE, "---\nname: loose\n" + _FIRST_NODE),
+        ("mapping_tiny.yaml", "nodes:\n", "nodes: [1]\nloops:\n"),
+        ("mapping_tiny.yaml", "  cell:\n", "  buffer: 5\n  cell:\n"),
+        ("mapping_tiny.yaml", "  cell:\n", "  buffer: [5]\n  cell:\n"),
+        ("mapping_tiny.yaml", "bound: 2, kind: spatialX}", "bound: 2, kind: spatialX, tile: 1}"),
+        ("mapping_tiny.yaml", "bound: 2, kind: spatialX}", "bound: 0, kind: spatialX}"),
+        ("workload_tiny.yaml", "{delta: 1}", "{table: {support: [1]}}"),
+        ("workload_tiny.yaml", "{delta: 1}", "{support: [0, 1], probs: [1.0]}"),
+        (
+            "workload_tiny.yaml",
+            "{two_point: [0, 1, 0.25]}",
+            "{support: [0, 1], probs: [0.75, 0.25, 0.5]}",
+        ),
+        ("workload_tiny.yaml", "layers:\n", "layers:\n  - 5\n"),
+        ("workload_tiny.yaml", "dims: {M: 2, K: 2}", "dims: {}"),
+        ("workload_tiny.yaml", "      Outputs: [M]\n", "      Outputs: [M]\n      Bias: [M]\n"),
+        (
+            "workload_tiny.yaml",
+            "      Weights: {delta: 1}\n",
+            "      Weights: {delta: 1}\n      Bias: {delta: 1}\n",
+        ),
     ],
     ids=[
         "non_numeric_attribute",
@@ -262,6 +288,23 @@ def test_broken_architecture_exits_two(tmp_path, capsys):
         "list_class",
         "map_class",
         "huge_bits",
+        "unknown_constraint",
+        "list_max_tile",
+        "list_attributes",
+        "list_defaults",
+        "untagged_document",
+        "list_nodes",
+        "scalar_loops",
+        "scalar_loop_entry",
+        "unknown_loop_key",
+        "zero_bound",
+        "table_without_probs",
+        "table_short_probs",
+        "table_long_probs",
+        "scalar_layer",
+        "empty_dims",
+        "unknown_role_projection",
+        "unknown_role_pmf",
     ],
 )
 def test_malformed_numbers_exit_two(tmp_path, capsys, fixture, old, new):
@@ -269,14 +312,18 @@ def test_malformed_numbers_exit_two(tmp_path, capsys, fixture, old, new):
     assert old in text
     bad = tmp_path / fixture
     bad.write_text(text.replace(old, new))
-    inputs = {"arch_crossbar.yaml": ARCH, "workload_tiny.yaml": WORKLOAD}
+    inputs = {
+        "arch_crossbar.yaml": ARCH,
+        "workload_tiny.yaml": WORKLOAD,
+        "mapping_tiny.yaml": MAPPING,
+    }
     inputs[fixture] = str(bad)
     rc = main(
         [
             "evaluate",
             "--arch", inputs["arch_crossbar.yaml"],
             "--workload", inputs["workload_tiny.yaml"],
-            "--mapping", MAPPING,
+            "--mapping", inputs["mapping_tiny.yaml"],
         ]
     )
     err = capsys.readouterr().err

@@ -1,12 +1,13 @@
 """Energy tables, full evaluation, search and the brute-force oracle."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from cimeval import engine
-from cimeval.archspec import parse_arch
+from cimeval.archspec import parse_arch, validate
 from cimeval.components import (
     AdcModel,
     ComponentError,
@@ -588,6 +589,55 @@ def test_oracle_outputs_are_pinned_bit_for_bit():
         got = oracle_evaluate(arch, layer, mapping, seed=seed)
         assert (got.energy_j.hex(), got.cycles, got.counts) == PINNED_ORACLE[name], name
         assert got.counts == evaluate(arch, layer, mapping).counts, name
+
+
+# a 2x3-mesh leaf under a buffer and a 2x2 container; the leaf's directive
+# and the role the container reuses spatially vary per case
+LEAF_DIRECTIVE_ARCH = """
+--- !Component
+name: buffer
+class: buffer
+temporal_reuse: [Inputs, Weights, Outputs]
+attributes: {{e_per_bit: 1.0e-15, width: 8}}
+--- !Container
+name: grid
+spatial: {{meshX: 2, meshY: 2}}
+spatial_reuse: [{reused}]
+--- !Component
+name: leaf
+{leaf}
+spatial: {{meshX: 2, meshY: 3}}
+"""
+_CELL = "class: reram_cell\nattributes: {t_read: 1.0e-9, g_min: 1.0e-6, g_max: 4.0e-6}"
+_WIRE = "class: wire\nattributes: {e_per_bit: 2.0e-15, width: 8}"
+LEAF_DIRECTIVES = [
+    f"{_CELL}\ncoalesce: [Inputs]",
+    # the cell cannot price convert
+    f"{_WIRE}\nno_coalesce: [Inputs]",
+    f"{_CELL}\ncoalesce: [Outputs]",
+    f"{_WIRE}\ntemporal_reuse: [Outputs, Inputs]",
+]
+# sha256 over every case's (energy_j.hex(), cycles, sorted counts)
+PINNED_LEAF_DIRECTIVES = (
+    "de295ed8a119b02e93d4fe5adb1bc6c427f9f9b1fa18b0400dba4e255fb260f5"
+)
+
+
+def test_oracle_pins_every_leaf_directive():
+    layer = parse_workload(LAYER_M4_K6_N2)[0]
+    h = hashlib.sha256()
+    for leaf in LEAF_DIRECTIVES:
+        for reused in ("Inputs", "Weights", "Outputs"):
+            arch = parse_arch(LEAF_DIRECTIVE_ARCH.format(leaf=leaf, reused=reused))
+            assert validate(arch, layer) == []
+            mappings = list(enumerate_mappings(arch, layer, budget=40, seed=1))
+            assert len(mappings) > 21
+            for seed, (_, mapping) in enumerate(mappings[::7]):
+                got = oracle_evaluate(arch, layer, mapping, seed=seed)
+                assert got.counts == evaluate(arch, layer, mapping).counts
+                pinned = (got.energy_j.hex(), got.cycles, sorted(got.counts.items()))
+                h.update(repr(pinned).encode())
+    assert h.hexdigest() == PINNED_LEAF_DIRECTIVES
 
 
 def test_first_events_equal_the_first_indices_np_unique_returns():
