@@ -1,9 +1,10 @@
 """Per-component energy/area models and the model registry.
 
 Models price one action (read, write, fill, update, convert, compute) from an
-ActionContext that carries the node's resolved attributes and the encoded,
-sliced operand PMFs.  Data-value-dependent models consume distributions only.
-The brute-force oracle prices concrete events through oracle_energy, which
+ActionContext that carries the node's resolved attributes and, per role, the
+slice PMFs of each device line its encoding drives; valuemodel decides the
+lines and the slices.  Data-value-dependent models consume distributions
+only.  The brute-force oracle prices concrete events through oracle_energy, which
 takes one int array per role (one entry per event) and returns one price per
 event; the cell and DAC run their per-value kernel once per distinct value.
 
@@ -24,9 +25,9 @@ from .valuemodel import (
     Encoding,
     PhysicalMap,
     SliceScheme,
-    encode_value,
-    encode_value_companion,
     expected_moment,
+    line_levels,
+    slice_level,
     switching_rate,
 )
 from .workload import MAX_BITS, ValuePMF, as_integer
@@ -47,23 +48,21 @@ class ComponentError(ValueError):
 class ActionContext:
     """Everything a model may consult when pricing one action.
 
-    slices[role] holds the encoded PMF of each bit slice (LSB-first);
-    companions[role] holds the matching second-line slices for differential
-    encoding (or the sign PMF for magnitude-only, as a single entry).  Both
-    are read-only mappings.  The engine fills them lazily: a role is
-    encoded and sliced the first time a model reads it, so statistics no
-    model reads are never built.  Their key sets are fixed when the context
-    is made, so testing ``role in ctx.slices`` builds nothing.
+    lines[role] holds one tuple of slice PMFs (LSB-first) per device line
+    the role's encoding drives: one line, or two for differential (positive
+    line first).  schemes[role].widths gives each slice's width.  ``lines``
+    is a read-only mapping that the engine fills lazily: a role is encoded
+    and sliced the first time a model reads it, so statistics no model
+    reads are never built.  Its key set is fixed when the context is made,
+    so testing ``role in ctx.lines`` builds nothing.
     """
 
     layer: str
     node: str
     attributes: dict
-    bits: dict[str, int] = field(default_factory=dict)
     encodings: dict[str, Encoding] = field(default_factory=dict)
     schemes: dict[str, SliceScheme] = field(default_factory=dict)
-    slices: Mapping[str, tuple[ValuePMF, ...]] = field(default_factory=dict)
-    companions: Mapping[str, tuple[ValuePMF, ...]] = field(default_factory=dict)
+    lines: Mapping[str, tuple[tuple[ValuePMF, ...], ...]] = field(default_factory=dict)
 
     def attr(self, key: str, default=None):
         value = self.attributes.get(key, default)
@@ -73,36 +72,21 @@ class ActionContext:
             )
         return value
 
-    def role_slices(self, role: str) -> tuple[ValuePMF, ...]:
-        if role not in self.slices:
+    def role_lines(self, role: str) -> tuple[tuple[ValuePMF, ...], ...]:
+        if role not in self.lines:
             raise ComponentError(
                 f"node {self.node!r}: no {role} distribution in action context"
             )
-        return self.slices[role]
-
-
-def _slice_widths(ctx: ActionContext, role: str) -> tuple[int, ...]:
-    scheme = ctx.schemes.get(role)
-    if scheme is None:
-        return (ctx.bits.get(role, 8),)
-    return scheme.widths
-
-
-def _two_lines(ctx: ActionContext, role: str) -> bool:
-    """Whether a role drives a second (negative) device line."""
-    enc = ctx.encodings.get(role)
-    return enc is not None and enc.kind == "differential"
+        return self.lines[role]
 
 
 def _line_sum(ctx: ActionContext, role: str, moment) -> float:
-    """Sum moment(pmf, width) over a role's slices, then over its companion
-    slices when the role drives a second line."""
-    widths = _slice_widths(ctx, role)
+    """Sum moment(pmf, width) over each device line of a role, slice by
+    slice."""
+    widths = ctx.schemes[role].widths
     total = 0.0
-    for pmf, width in zip(ctx.role_slices(role), widths):
-        total += moment(pmf, width)
-    if _two_lines(ctx, role):
-        for pmf, width in zip(ctx.companions.get(role, ()), widths):
+    for line in ctx.role_lines(role):
+        for pmf, width in zip(line, widths):
             total += moment(pmf, width)
     return total
 
@@ -112,7 +96,7 @@ def memcell_read_energy(ctx: ActionContext) -> float:
 
     Input slices map to voltages, weight slices to conductances; slice
     averages follow from each slice being equally likely per access.  A
-    second weight line adds the companion population's conductance.
+    second weight line adds its population's conductance.
     """
     t_read = float(ctx.attr("t_read"))
     vdd = float(ctx.attributes.get("vdd", 1.0))
@@ -126,7 +110,7 @@ def memcell_read_energy(ctx: ActionContext) -> float:
             pmf, PhysicalMap.voltage(vdd=vdd, levels=1 << w), power=2
         ),
     )
-    v2 /= len(ctx.role_slices("Inputs"))
+    v2 /= len(ctx.schemes["Inputs"].widths)
     g = _line_sum(
         ctx,
         "Weights",
@@ -134,7 +118,7 @@ def memcell_read_energy(ctx: ActionContext) -> float:
             pmf, PhysicalMap.conductance(g_min=g_min, g_max=g_max, levels=1 << w)
         ),
     )
-    g /= len(ctx.role_slices("Weights"))
+    g /= len(ctx.schemes["Weights"].widths)
     return g * v2 * t_read
 
 
@@ -156,7 +140,7 @@ def dac_convert_energy(ctx: ActionContext) -> float:
         total = _line_sum(ctx, "Inputs", lambda pmf, w: pmf.mean() / ((1 << w) - 1))
     else:
         total = _line_sum(ctx, "Inputs", switching_rate)
-    return e_fs * total / len(ctx.role_slices("Inputs"))
+    return e_fs * total / len(ctx.schemes["Inputs"].widths)
 
 
 def _adc_levels(attributes: dict, node: str) -> int:
@@ -265,21 +249,18 @@ def _mean_slice_quantity(
     values: dict[str, np.ndarray], ctx: ActionContext, role: str, per_slice
 ) -> np.ndarray:
     """Average per_slice(slice_level, width) over the slices of each event's
-    value of role, computed once per distinct value."""
+    value of role, summed over its device lines, computed once per distinct
+    value."""
     enc = ctx.encodings[role]
-    widths = _slice_widths(ctx, role)
+    scheme = ctx.schemes[role]
     distinct, inverse = _distinct_values(values[role])
     means = np.empty(len(distinct))
     for i, value in enumerate(distinct.tolist()):
-        levels = [encode_value(int(value), enc)]
-        if _two_lines(ctx, role):
-            levels.append(encode_value_companion(int(value), enc))
         total = 0.0
-        for lvl in levels:
-            for width in widths:
-                total += per_slice(lvl & ((1 << width) - 1), width)
-                lvl >>= width
-        means[i] = total / len(widths)
+        for level in line_levels(int(value), enc):
+            for lvl, width in zip(slice_level(level, scheme), scheme.widths):
+                total += per_slice(lvl, width)
+        means[i] = total / len(scheme.widths)
     return means[inverse]
 
 
@@ -305,17 +286,19 @@ class MemoryCellModel(ComponentModel):
         vdd = float(ctx.attributes.get("vdd", 1.0))
         g_min = float(ctx.attributes.get("g_min", 0.0))
         g_max = float(ctx.attr("g_max"))
+        # one map per slice width, not one per slice of every value
+        volts = {
+            w: PhysicalMap.voltage(vdd, 1 << w) for w in ctx.schemes["Inputs"].widths
+        }
+        conds = {
+            w: PhysicalMap.conductance(g_min, g_max, 1 << w)
+            for w in ctx.schemes["Weights"].widths
+        }
         v2 = _mean_slice_quantity(
-            values,
-            ctx,
-            "Inputs",
-            lambda lvl, w: PhysicalMap.voltage(vdd, 1 << w).value(lvl) ** 2,
+            values, ctx, "Inputs", lambda lvl, w: volts[w].value(lvl) ** 2
         )
         g = _mean_slice_quantity(
-            values,
-            ctx,
-            "Weights",
-            lambda lvl, w: PhysicalMap.conductance(g_min, g_max, 1 << w).value(lvl),
+            values, ctx, "Weights", lambda lvl, w: conds[w].value(lvl)
         )
         return g * v2 * t_read
 

@@ -50,14 +50,7 @@ from .mapping import (
     build_count_plan,
     check_valid,
 )
-from .valuemodel import (
-    COMPANION_ENCODINGS,
-    Encoding,
-    EncodedPMF,
-    SliceScheme,
-    encode_pmf,
-    slice_pmf,
-)
+from .valuemodel import Encoding, SliceScheme, line_slices
 from .workload import ROLES, WorkloadLayer, as_integer, mac_count
 
 DEFAULT_CLOCK_PERIOD = 1e-9
@@ -126,56 +119,35 @@ def build_action_context(node, layer: WorkloadLayer) -> ActionContext:
 
     Encodings and slice widths are datapath properties, so they come from
     node attributes (input_encoding, weight_slice_width, ...); bit widths
-    come from the layer.  The sliced statistics are built the first time a
-    model reads them: ``slices`` and ``companions`` are read-only mappings
-    that encode and slice a role on its first access, sharing one encoded
-    PMF between a role's slices and its companion, so a role no model reads
-    costs nothing.  A role with no declared PMF and more than
-    _DEFAULT_PMF_BITS_CAP bits has no entry; a model that prices on such a
-    role reports the missing distribution.
+    come from the layer.  ``lines`` is a read-only mapping that encodes a
+    role and slices each device line (valuemodel.line_slices) on its first
+    access, so a role no model reads costs nothing.  A role with no
+    declared PMF and more than _DEFAULT_PMF_BITS_CAP bits has no entry; a
+    model that prices on such a role reports the missing distribution.
     """
     attrs = node.attributes
-    bits: dict[str, int] = {}
     encodings: dict[str, Encoding] = {}
     schemes: dict[str, SliceScheme] = {}
     for role in ROLES:
         key = _ROLE_ATTR[role]
         b = layer.bits[role]
-        bits[role] = b
         kind = str(attrs.get(f"{key}_encoding", "twos_complement"))
         encodings[role] = Encoding(kind, b)
         schemes[role] = _slice_scheme(b, attrs.get(f"{key}_slice_width"))
     present = [
-        r for r in ROLES if r in layer.pmfs or bits[r] <= _DEFAULT_PMF_BITS_CAP
+        r for r in ROLES if r in layer.pmfs or layer.bits[r] <= _DEFAULT_PMF_BITS_CAP
     ]
-    # one encoded PMF per role, shared by its slices and its companion
-    encoded = _LazyRoleMap(
-        present, lambda role: encode_pmf(layer.pmf_for(role), encodings[role])
-    )
-
-    def role_slices(role: str) -> tuple:
-        return tuple(slice_pmf(encoded[role], schemes[role]))
-
-    def role_companions(role: str) -> tuple:
-        enc = encoded[role]
-        if enc.kind == "differential":
-            comp = EncodedPMF(
-                enc.kind, enc.bits, enc.companion.support, enc.companion.probs
-            )
-            return tuple(slice_pmf(comp, schemes[role]))
-        return (enc.companion,)
-
     return ActionContext(
         layer=layer.name,
         node=node.name,
         attributes=attrs,
-        bits=bits,
         encodings=encodings,
         schemes=schemes,
-        slices=_LazyRoleMap(present, role_slices),
-        companions=_LazyRoleMap(
-            [r for r in present if encodings[r].kind in COMPANION_ENCODINGS],
-            role_companions,
+        lines=_LazyRoleMap(
+            present,
+            lambda role: line_slices(
+                layer.pmf_for(role), encodings[role], schemes[role]
+            ),
         ),
     )
 

@@ -3,9 +3,11 @@
 Signed operand values are first encoded into non-negative device levels
 (two's complement, offset, XNOR, magnitude-only or differential), optionally
 split into bit slices, and finally mapped onto voltages or conductances by an
-affine map.  Everything here is a pure function of PMFs, so the same code
-prices a single value (for the brute-force oracle) and a whole distribution
-(for the statistical model).
+affine map.  This module alone decides which device lines an encoding drives
+(line_levels, line_slices) and how a level splits into slices (slice_level).
+Everything here is a pure function of PMFs, so the same code prices a single
+value (for the brute-force oracle) and a whole distribution (for the
+statistical model).
 """
 
 from __future__ import annotations
@@ -23,8 +25,11 @@ ENCODINGS = (
     "differential",
 )
 
-# Encodings whose EncodedPMF carries a companion line.
+# Encodings whose EncodedPMF carries a companion PMF.
 COMPANION_ENCODINGS = ("differential", "magnitude_only")
+# Encodings that drive a second (negative) device line.  magnitude_only's
+# companion is a sign PMF, which drives no device line.
+TWO_LINE_ENCODINGS = ("differential",)
 
 
 class ValueModelError(ValueError):
@@ -149,13 +154,16 @@ def encode_pmf(pmf: ValuePMF, enc: Encoding) -> EncodedPMF:
         cpairs = [(encode_value_companion(v, enc), p) for v, p in zip(pmf.support, pmf.probs)]
         csupport, cprobs = _merge(cpairs)
         companion = ValuePMF(csupport, cprobs)
-    if support[-1] >= (1 << enc.bits) and enc.kind != "xnor":
-        raise ValueModelError(
-            f"encoded level {support[-1]} exceeds {enc.bits}-bit range"
-        )
     return EncodedPMF(
         kind=enc.kind, bits=enc.bits, support=support, probs=probs, companion=companion
     )
+
+
+def line_levels(value: int, enc: Encoding) -> tuple[int, ...]:
+    """One value's level on each device line its encoding drives."""
+    if enc.kind in TWO_LINE_ENCODINGS:
+        return encode_value(value, enc), encode_value_companion(value, enc)
+    return (encode_value(value, enc),)
 
 
 def slice_level(level: int, scheme: SliceScheme) -> tuple[int, ...]:
@@ -163,8 +171,9 @@ def slice_level(level: int, scheme: SliceScheme) -> tuple[int, ...]:
     if level < 0:
         raise ValueModelError("cannot slice a negative level")
     out = []
-    for width, offset in zip(scheme.widths, scheme.offsets):
-        out.append((level >> offset) & ((1 << width) - 1))
+    for width in scheme.widths:
+        out.append(level & ((1 << width) - 1))
+        level >>= width
     return tuple(out)
 
 
@@ -178,16 +187,32 @@ def slice_pmf(encoded: EncodedPMF, scheme: SliceScheme) -> list[ValuePMF]:
         raise ValueModelError(
             f"slice widths sum to {scheme.total_bits}, encoded width is {encoded.bits}"
         )
+    if len(scheme.widths) == 1:  # the one slice is the whole level
+        return [ValuePMF(encoded.support, encoded.probs)]
     out = []
-    for width, offset in zip(scheme.widths, scheme.offsets):
-        mask = (1 << width) - 1
+    for column in zip(*[slice_level(level, scheme) for level in encoded.support]):
         acc: dict[int, float] = {}
-        for level, p in zip(encoded.support, encoded.probs):
-            s = (level >> offset) & mask
+        for s, p in zip(column, encoded.probs):
             acc[s] = acc.get(s, 0.0) + p
         support = tuple(sorted(acc))
         out.append(ValuePMF(support, tuple(acc[v] for v in support)))
     return out
+
+
+def line_slices(
+    pmf: ValuePMF, enc: Encoding, scheme: SliceScheme
+) -> tuple[tuple[ValuePMF, ...], ...]:
+    """Slice PMFs of each device line the encoding drives, line by line.
+
+    Lines share one encoded PMF; a second line is the differential
+    encoding's negative line.
+    """
+    encoded = encode_pmf(pmf, enc)
+    lines = [encoded]
+    if enc.kind in TWO_LINE_ENCODINGS:
+        c = encoded.companion
+        lines.append(EncodedPMF(enc.kind, enc.bits, c.support, c.probs))
+    return tuple(tuple(slice_pmf(line, scheme)) for line in lines)
 
 
 @dataclass(frozen=True)

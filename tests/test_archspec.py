@@ -99,6 +99,24 @@ def test_serialize_round_trip():
         assert again == tree
 
 
+def _as_list(stream: str) -> str:
+    """The same tagged nodes as one YAML list instead of a document stream."""
+    out = []
+    for doc in stream.split("--- ")[1:]:
+        tag, *body = doc.splitlines()
+        out.append(f"- {tag}\n" + "".join(f"  {line}\n" for line in body))
+    return "".join(out)
+
+
+def test_list_form_and_empty_documents_parse_like_the_stream():
+    stream = read_fixture("arch_crossbar.yaml")
+    listed = _as_list(stream)
+    assert listed.startswith("- !Component\n  name: buffer\n")
+    assert parse_arch(listed) == parse_arch(stream)
+    # an empty document is skipped wherever it stands
+    assert parse_arch("---\n" + stream.replace("--- !", "---\n--- !")) == parse_arch(stream)
+
+
 def test_defaults_document_merges_into_attributes():
     text = """
 defaults: {vdd: 0.9, t_read: 2.0e-9}

@@ -194,6 +194,50 @@ def test_broken_architecture_exits_two(tmp_path, capsys):
     assert "innermost" in out
 
 
+def _evaluate(arch: str, workload: str, capsys) -> tuple[int, str, str]:
+    """Run evaluate on the tiny mapping; return the code, stdout and stderr."""
+    rc = main(["evaluate", "--arch", arch, "--workload", workload, "--mapping", MAPPING])
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_action_the_model_cannot_price_exits_two(tmp_path, capsys):
+    # an adder holding Outputs for temporal reuse is asked to write them
+    text = read_fixture("arch_crossbar.yaml")
+    assert "\ncoalesce: [Outputs]\n" in text
+    bad = tmp_path / "arch.yaml"
+    bad.write_text(text.replace("\ncoalesce: [Outputs]\n", "\ntemporal_reuse: [Outputs]\n"))
+    rc, _, err = _evaluate(str(bad), WORKLOAD, capsys)
+    assert rc == 2
+    assert err == "error: node 'accum': model AdderModel cannot price 'write'\n"
+
+
+def test_pmf_file_with_a_non_integer_line_exits_two(tmp_path, capsys):
+    (tmp_path / "weights.txt").write_text("1\n0.5\n1\n")
+    bad = tmp_path / "work.yaml"
+    bad.write_text(read_fixture("workload_tiny.yaml").replace(
+        "Weights: {delta: 1}", "Weights: {file: weights.txt}"
+    ))
+    rc, _, err = _evaluate(ARCH, str(bad), capsys)
+    assert rc == 2
+    want = f"error: PMF file {tmp_path / 'weights.txt'} has a non-integer entry"
+    assert err == want + "\n"
+
+
+def test_two_point_at_one_value_reads_as_delta(tmp_path, capsys):
+    text = read_fixture("workload_tiny.yaml")
+    reports = []
+    for spec in ("{two_point: [1, 1, 0.25]}", "{delta: 1}"):
+        work = tmp_path / "work.yaml"
+        work.write_text(text.replace("{two_point: [0, 1, 0.25]}", spec))
+        rc, out, _ = _evaluate(ARCH, str(work), capsys)
+        assert rc == 0
+        report = json.loads(out)
+        del report["inputs"]  # the file digests differ
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize(
     "fixture, old, new",
     [

@@ -40,20 +40,19 @@ G_MIN = 1e-6
 G_MAX = 4e-6
 
 
-def cell_ctx(in_slices, w_slices, bits=2, schemes=None, encodings=None, companions=None):
+def cell_ctx(in_slices, w_slices, bits=2, encodings=None, w_lines=()):
+    """One-slice context; w_lines are the weights' further device lines."""
     return ActionContext(
         layer="t",
         node="cell",
         attributes={"t_read": T_READ, "vdd": 1.0, "g_min": G_MIN, "g_max": G_MAX},
-        bits={"Inputs": bits, "Weights": bits},
         encodings=encodings
         or {
             "Inputs": Encoding("twos_complement", bits),
             "Weights": Encoding("twos_complement", bits),
         },
-        schemes=schemes or {},
-        slices={"Inputs": tuple(in_slices), "Weights": tuple(w_slices)},
-        companions=companions or {},
+        schemes={"Inputs": SliceScheme((bits,)), "Weights": SliceScheme((bits,))},
+        lines={"Inputs": (tuple(in_slices),), "Weights": (tuple(w_slices), *w_lines)},
     )
 
 
@@ -73,15 +72,14 @@ def test_memcell_slice_average():
         layer="t",
         node="cell",
         attributes={"t_read": T_READ, "vdd": 1.0, "g_min": G_MIN, "g_max": G_MAX},
-        bits={"Inputs": 2, "Weights": 4},
         encodings={
             "Inputs": Encoding("twos_complement", 2),
             "Weights": Encoding("twos_complement", 4),
         },
-        schemes={"Weights": scheme},
-        slices={
-            "Inputs": (uniform_pmf(0, 3),),
-            "Weights": (delta_pmf(1), delta_pmf(2)),
+        schemes={"Inputs": SliceScheme((2,)), "Weights": scheme},
+        lines={
+            "Inputs": ((uniform_pmf(0, 3),),),
+            "Weights": ((delta_pmf(1), delta_pmf(2)),),
         },
     )
     v2 = (0 + (1 / 3) ** 2 + (2 / 3) ** 2 + 1) / 4
@@ -100,7 +98,7 @@ def test_memcell_differential_companion_adds_conductance():
     comp = ValuePMF((0, 2), (0.5, 0.5))
     base = cell_ctx([uniform_pmf(0, 3)], [main], encodings=enc)
     both = cell_ctx(
-        [uniform_pmf(0, 3)], [main], encodings=enc, companions={"Weights": (comp,)}
+        [uniform_pmf(0, 3)], [main], encodings=enc, w_lines=[(comp,)]
     )
     v2 = (0 + (1 / 3) ** 2 + (2 / 3) ** 2 + 1) / 4
     g_main = G_MIN + (G_MAX - G_MIN) * 1.5 / 3
@@ -169,7 +167,7 @@ def test_differential_input_oracle_energy_matches_average_over_support(dac_model
     ).nodes[::-1]
     layer = parse_workload(DIFF_INPUT_LAYER)[0]
     ctx = build_action_context(cell_node, layer)
-    assert len(ctx.companions["Inputs"]) == 2
+    assert [len(line) for line in ctx.role_lines("Inputs")] == [2, 2]
     cell = MemoryCellModel()
     per_point = [
         cell.oracle_energy("compute", ctx, {"Inputs": x, "Weights": y})
@@ -192,9 +190,9 @@ def test_dac_value_proportional_and_switching():
         layer="t",
         node="dac",
         attributes={"e_full_scale": 0.4e-12, "model": "value_proportional"},
-        bits={"Inputs": 1},
         encodings={"Inputs": Encoding("twos_complement", 1)},
-        slices={"Inputs": (two_point_pmf(0, 1, 0.25),)},
+        schemes={"Inputs": SliceScheme((1,))},
+        lines={"Inputs": ((two_point_pmf(0, 1, 0.25),),)},
     )
     assert dac_convert_energy(ctx) == pytest.approx(0.1e-12, rel=1e-14, abs=0)
 
@@ -202,9 +200,9 @@ def test_dac_value_proportional_and_switching():
         layer="t",
         node="dac",
         attributes={"e_full_scale": 1e-12, "model": "switching"},
-        bits={"Inputs": 2},
         encodings={"Inputs": Encoding("twos_complement", 2)},
-        slices={"Inputs": (uniform_pmf(0, 3),)},
+        schemes={"Inputs": SliceScheme((2,))},
+        lines={"Inputs": ((uniform_pmf(0, 3),),)},
     )
     assert dac_convert_energy(sw) == pytest.approx(0.5e-12, rel=1e-14, abs=0)
 
@@ -212,8 +210,8 @@ def test_dac_value_proportional_and_switching():
         layer="t",
         node="dac",
         attributes={"e_full_scale": 1e-12, "model": "thermometer"},
-        bits={"Inputs": 2},
-        slices={"Inputs": (uniform_pmf(0, 3),)},
+        schemes={"Inputs": SliceScheme((2,))},
+        lines={"Inputs": ((uniform_pmf(0, 3),),)},
     )
     with pytest.raises(ComponentError, match="unknown DAC model"):
         dac_convert_energy(bad)
@@ -225,9 +223,9 @@ def test_dac_oracle_energy_per_value():
         layer="t",
         node="dac",
         attributes={"e_full_scale": 1e-12},
-        bits={"Inputs": 2},
         encodings={"Inputs": Encoding("twos_complement", 2)},
-        slices={"Inputs": (uniform_pmf(0, 3),)},
+        schemes={"Inputs": SliceScheme((2,))},
+        lines={"Inputs": ((uniform_pmf(0, 3),),)},
     )
     assert model.oracle_energy("convert", ctx, {"Inputs": 3}) == pytest.approx(1e-12, abs=0)
     assert model.oracle_energy("convert", ctx, {"Inputs": 0}) == 0.0
@@ -274,7 +272,6 @@ def test_oracle_energy_array_is_its_one_element_calls(inputs, weights, dac_model
             "t_read": T_READ, "vdd": 1.0, "g_min": G_MIN, "g_max": G_MAX,
             "e_full_scale": 1e-12, "model": dac_model,
         },
-        bits={"Inputs": in_enc.bits, "Weights": w_enc.bits},
         encodings={"Inputs": in_enc, "Weights": w_enc},
         schemes={"Inputs": in_scheme, "Weights": w_scheme},
     )
@@ -340,6 +337,24 @@ def test_buffer_update_is_read_modify_write():
         model.energy_per_action("convert", ctx)
     with pytest.raises(ComponentError, match="missing required attribute"):
         model.energy_per_action("read", ActionContext(layer="t", node="buf", attributes={}))
+
+
+@pytest.mark.parametrize(
+    "model, action",
+    [
+        (MemoryCellModel(), "update"),
+        (SramCellModel(), "convert"),
+        (DacModel(), "read"),
+        (AdcModel(), "write"),
+        (AdderModel(), "write"),
+    ],
+    ids=lambda x: x if isinstance(x, str) else type(x).__name__,
+)
+def test_model_refuses_an_action_it_cannot_price(model, action):
+    ctx = ActionContext(layer="t", node="n", attributes={})
+    name = type(model).__name__
+    with pytest.raises(ComponentError, match=f"^node 'n': model {name} cannot price '{action}'$"):
+        model.energy_per_action(action, ctx)
 
 
 def test_adder_wire_and_sram_models():

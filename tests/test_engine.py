@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cimeval import engine
+from cimeval import engine, valuemodel
 from cimeval.archspec import parse_arch, validate
 from cimeval.components import (
     AdcModel,
@@ -199,11 +199,10 @@ layers:
     assert ctx.encodings["Weights"].kind == "offset"
     assert ctx.schemes["Weights"].widths == (1, 1)
     # offset levels 0..3 uniform: each bit is an even coin
-    lo, hi = ctx.slices["Weights"]
+    ((lo, hi),) = ctx.lines["Weights"]
     assert lo.support == (0, 1) and hi.support == (0, 1)
     assert lo.probs == (0.5, 0.5) and hi.probs == (0.5, 0.5)
-    assert ctx.slices["Inputs"][0].support == (0, 1, 2, 3)
-    assert "Weights" not in ctx.companions
+    assert ctx.lines["Inputs"][0][0].support == (0, 1, 2, 3)
 
     diff_node = parse_arch(
         """
@@ -217,18 +216,18 @@ attributes:
 """
     ).leaf
     dctx = build_action_context(diff_node, layer)
-    # main line keeps positives, companion line keeps magnitudes of negatives
-    assert dctx.slices["Weights"][0].support == (0, 1)
-    assert dctx.companions["Weights"][0].support == (0, 1, 2)
+    # positive line keeps positives, negative line keeps magnitudes of negatives
+    ((pos,), (neg,)) = dctx.lines["Weights"]
+    assert pos.support == (0, 1)
+    assert neg.support == (0, 1, 2)
     mag_node = parse_arch(
         "--- !Component\nname: c\nclass: reram_cell\nattributes: "
         "{t_read: 1.0e-9, g_max: 1.0e-6, weight_encoding: magnitude_only}"
     ).leaf
     mctx = build_action_context(mag_node, layer)
-    # magnitudes on the main line, and one unsliced sign line beside them
-    assert mctx.slices["Weights"][0].support == (0, 1, 2)
-    (sign,) = mctx.companions["Weights"]
-    assert sign.support == (0, 1) and sign.probs == (0.5, 0.5)
+    # magnitudes on the one line
+    ((mag,),) = mctx.lines["Weights"]
+    assert mag.support == (0, 1, 2)
     with pytest.raises(EngineError, match="slice width"):
         build_action_context(
             parse_arch(
@@ -332,7 +331,8 @@ def test_slice_width_that_does_not_divide_the_bit_width():
     ctx = build_action_context(node, layer)
     assert ctx.schemes["Inputs"].widths == (3, 3, 2)
     # input 1 is level 1: only the lowest slice is set
-    assert [s.support for s in ctx.slices["Inputs"]] == [(1,), (0,), (0,)]
+    ((*slices,),) = ctx.lines["Inputs"]
+    assert [s.support for s in slices] == [(1,), (0,), (0,)]
 
 
 def test_oracle_energy_is_exact_for_deterministic_values(crossbar_arch, tiny_mapping):
@@ -815,7 +815,7 @@ class _OutputsProbe(AdcModel):
         self.seen = []
 
     def energy_per_action(self, action, ctx):
-        self.seen.append(ctx.role_slices("Outputs"))
+        self.seen.append(ctx.role_lines("Outputs"))
         return super().energy_per_action(action, ctx)
 
 
@@ -830,17 +830,17 @@ def _probe_registry(probe):
 def test_undeclared_outputs_are_never_encoded(crossbar_arch, monkeypatch):
     layer = _CONV_LAYERS["fc"]
     encoded_bits = []
-    real_encode = engine.encode_pmf
+    real_encode = valuemodel.encode_pmf
 
     def counting_encode(pmf, enc):
         encoded_bits.append(enc.bits)
         return real_encode(pmf, enc)
 
-    monkeypatch.setattr(engine, "encode_pmf", counting_encode)
+    monkeypatch.setattr(valuemodel, "encode_pmf", counting_encode)
     LayerEvaluator(crossbar_arch, layer)
     assert encoded_bits and layer.bits["Outputs"] not in encoded_bits
     ctx = build_action_context(crossbar_arch.node("adc"), layer)
-    assert "Outputs" in ctx.slices and "Outputs" not in ctx.companions
+    assert "Outputs" in ctx.lines
     # membership tests build nothing
     assert layer.bits["Outputs"] not in encoded_bits
 
@@ -855,11 +855,13 @@ def test_plugin_reading_outputs_gets_the_sliced_default():
     layer = _CONV_LAYERS["fc"]
     probe = _OutputsProbe()
     LayerEvaluator(arch, layer, _probe_registry(probe))
-    expected = tuple(
-        slice_pmf(
-            encode_pmf(layer.pmf_for("Outputs"), Encoding("offset", 16)),
-            SliceScheme((4, 4, 4, 4)),
-        )
+    expected = (
+        tuple(
+            slice_pmf(
+                encode_pmf(layer.pmf_for("Outputs"), Encoding("offset", 16)),
+                SliceScheme((4, 4, 4, 4)),
+            )
+        ),
     )
     assert probe.seen == [expected]
 

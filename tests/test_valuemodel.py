@@ -132,6 +132,30 @@ class SliceTests(unittest.TestCase):
             for p in part.probs:
                 self.assertAlmostEqual(p, 0.25, places=12)
 
+    @given(
+        st.integers(1, 8).flatmap(lambda b: st.tuples(st.just(b), partitions(b))),
+        st.lists(st.floats(0.01, 1.0), min_size=1, max_size=40),
+    )
+    @settings(max_examples=100)
+    def test_slice_pmf_equals_masking_each_slice_bit_for_bit(self, bits_widths, weights):
+        bits, widths = bits_widths
+        weights = weights[: 1 << bits]
+        total = sum(weights)
+        enc = encode_pmf(
+            ValuePMF(tuple(range(len(weights))), tuple(w / total for w in weights)),
+            Encoding("twos_complement", bits),
+        )
+        scheme = SliceScheme(widths)
+        # reference: mask one slice out of every level, summing in support order
+        expected = []
+        for width, offset in zip(scheme.widths, scheme.offsets):
+            acc = {}
+            for level, p in zip(enc.support, enc.probs):
+                s = (level >> offset) & ((1 << width) - 1)
+                acc[s] = acc.get(s, 0.0) + p
+            expected.append(ValuePMF(tuple(sorted(acc)), tuple(acc[v] for v in sorted(acc))))
+        self.assertEqual(slice_pmf(enc, scheme), expected)
+
     def test_width_mismatch_rejected(self):
         enc = encode_pmf(uniform_pmf(0, 15), Encoding("twos_complement", 4))
         with self.assertRaises(ValueModelError):
