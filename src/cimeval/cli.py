@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -464,6 +465,7 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process: each build leaves argparse cycles
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cimeval",

@@ -2,11 +2,13 @@
 
 Models price one action (read, write, fill, update, convert, compute) from an
 ActionContext that carries the node's resolved attributes and, per role, the
-slice PMFs of each device line its encoding drives; valuemodel decides the
-lines and the slices.  Data-value-dependent models consume distributions
-only.  The brute-force oracle prices concrete events through oracle_energy, which
-takes one int array per role (one entry per event) and returns one price per
-event; the cell and DAC run their per-value kernel once per distinct value.
+slice PMFs of each device line its encoding drives; valuemodel.line_levels
+decides the lines and slice_level the slices.  Data-value-dependent models
+consume distributions only.  The brute-force oracle prices concrete events
+through oracle_energy, which takes one int array per role (one entry per
+event) and returns one price per event; the cell and DAC run their per-value
+kernel once per distinct value.  The cell's model and oracle share only its
+physical maps (_cell_maps), not their sums.
 
 Registered classes: reram_cell, sram_cell, dac, adc, buffer, adder, wire
 (router is an alias of wire).  DEFAULT_REGISTRY.register adds plug-ins keyed
@@ -91,6 +93,21 @@ def _line_sum(ctx: ActionContext, role: str, moment) -> float:
     return total
 
 
+def _cell_maps(ctx: ActionContext) -> tuple[float, dict, dict]:
+    """A cell's t_read, and one map per slice width: input slice levels to
+    voltages, weight slice levels to conductances."""
+    t_read = float(ctx.attr("t_read"))
+    vdd = float(ctx.attributes.get("vdd", 1.0))
+    g_min = float(ctx.attributes.get("g_min", 0.0))
+    g_max = float(ctx.attr("g_max"))
+    volts = {w: PhysicalMap.voltage(vdd, 1 << w) for w in ctx.schemes["Inputs"].widths}
+    conds = {
+        w: PhysicalMap.conductance(g_min, g_max, 1 << w)
+        for w in ctx.schemes["Weights"].widths
+    }
+    return t_read, volts, conds
+
+
 def memcell_read_energy(ctx: ActionContext) -> float:
     """Average read energy of one cell access: G_avg * V_avg^2 * t_read.
 
@@ -98,26 +115,12 @@ def memcell_read_energy(ctx: ActionContext) -> float:
     averages follow from each slice being equally likely per access.  A
     second weight line adds its population's conductance.
     """
-    t_read = float(ctx.attr("t_read"))
-    vdd = float(ctx.attributes.get("vdd", 1.0))
-    g_min = float(ctx.attributes.get("g_min", 0.0))
-    g_max = float(ctx.attr("g_max"))
-
+    t_read, volts, conds = _cell_maps(ctx)
     v2 = _line_sum(
-        ctx,
-        "Inputs",
-        lambda pmf, w: expected_moment(
-            pmf, PhysicalMap.voltage(vdd=vdd, levels=1 << w), power=2
-        ),
+        ctx, "Inputs", lambda pmf, w: expected_moment(pmf, volts[w], power=2)
     )
     v2 /= len(ctx.schemes["Inputs"].widths)
-    g = _line_sum(
-        ctx,
-        "Weights",
-        lambda pmf, w: expected_moment(
-            pmf, PhysicalMap.conductance(g_min=g_min, g_max=g_max, levels=1 << w)
-        ),
-    )
+    g = _line_sum(ctx, "Weights", lambda pmf, w: expected_moment(pmf, conds[w]))
     g /= len(ctx.schemes["Weights"].widths)
     return g * v2 * t_read
 
@@ -282,18 +285,7 @@ class MemoryCellModel(ComponentModel):
         n = _event_count(values)
         if action not in ("read", "compute") or not {"Inputs", "Weights"} <= set(values):
             return np.full(n, self.energy_per_action(action, ctx))
-        t_read = float(ctx.attr("t_read"))
-        vdd = float(ctx.attributes.get("vdd", 1.0))
-        g_min = float(ctx.attributes.get("g_min", 0.0))
-        g_max = float(ctx.attr("g_max"))
-        # one map per slice width, not one per slice of every value
-        volts = {
-            w: PhysicalMap.voltage(vdd, 1 << w) for w in ctx.schemes["Inputs"].widths
-        }
-        conds = {
-            w: PhysicalMap.conductance(g_min, g_max, 1 << w)
-            for w in ctx.schemes["Weights"].widths
-        }
+        t_read, volts, conds = _cell_maps(ctx)
         v2 = _mean_slice_quantity(
             values, ctx, "Inputs", lambda lvl, w: volts[w].value(lvl) ** 2
         )

@@ -4,10 +4,10 @@ Signed operand values are first encoded into non-negative device levels
 (two's complement, offset, XNOR, magnitude-only or differential), optionally
 split into bit slices, and finally mapped onto voltages or conductances by an
 affine map.  This module alone decides which device lines an encoding drives
-(line_levels, line_slices) and how a level splits into slices (slice_level).
-Everything here is a pure function of PMFs, so the same code prices a single
-value (for the brute-force oracle) and a whole distribution (for the
-statistical model).
+and each line's level (line_levels, which encode_pmf merges over a PMF) and
+how a level splits into slices (slice_level).  Everything here is a pure
+function of PMFs, so the same code prices a single value (for the
+brute-force oracle) and a whole distribution (for the statistical model).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .workload import ValuePMF, WorkloadError
+from .workload import ValuePMF, signed_range
 
 ENCODINGS = (
     "twos_complement",
@@ -24,12 +24,6 @@ ENCODINGS = (
     "magnitude_only",
     "differential",
 )
-
-# Encodings whose EncodedPMF carries a companion PMF.
-COMPANION_ENCODINGS = ("differential", "magnitude_only")
-# Encodings that drive a second (negative) device line.  magnitude_only's
-# companion is a sign PMF, which drives no device line.
-TWO_LINE_ENCODINGS = ("differential",)
 
 
 class ValueModelError(ValueError):
@@ -77,21 +71,12 @@ class SliceScheme:
 
 @dataclass(frozen=True)
 class EncodedPMF:
-    """PMF over non-negative device levels, plus an optional companion line.
-
-    The companion carries the second device population for differential
-    encoding (negative line) and the sign distribution for magnitude-only.
-    """
+    """PMF over the non-negative levels one device line carries."""
 
     kind: str
     bits: int
     support: tuple[int, ...]
     probs: tuple[float, ...]
-    companion: ValuePMF | None = None
-
-
-def _signed_range(bits: int) -> tuple[int, int]:
-    return -(1 << (bits - 1)), (1 << (bits - 1)) - 1
 
 
 def _merge(levels_probs) -> tuple[tuple[int, ...], tuple[float, ...]]:
@@ -105,17 +90,17 @@ def _merge(levels_probs) -> tuple[tuple[int, ...], tuple[float, ...]]:
 def encode_value(value: int, enc: Encoding) -> int:
     """Encode one value to its primary device level.
 
-    For differential encoding this is the positive-line level; use
-    encode_value_companion for the negative line.
+    For differential encoding this is the positive line's level; line_levels
+    gives every line's.
     """
     b = enc.bits
     if enc.kind == "twos_complement":
-        lo, hi = (_signed_range(b)[0], (1 << b) - 1)
+        lo, hi = signed_range(b)[0], (1 << b) - 1
         if not lo <= value <= hi:
             raise ValueModelError(f"value {value} unrepresentable in {b}-bit two's complement")
         return value % (1 << b)
     if enc.kind == "offset":
-        lo, hi = _signed_range(b)
+        lo, hi = signed_range(b)
         if not lo <= value <= hi:
             raise ValueModelError(f"value {value} outside {b}-bit offset range")
         return value + (1 << (b - 1))
@@ -136,34 +121,22 @@ def encode_value(value: int, enc: Encoding) -> int:
     raise ValueModelError(f"unknown encoding {enc.kind!r}")
 
 
-def encode_value_companion(value: int, enc: Encoding) -> int:
-    """Companion level for one value: negative line (differential) or sign bit."""
-    if enc.kind == "differential":
-        return max(-value, 0)
-    if enc.kind == "magnitude_only":
-        return 1 if value < 0 else 0
-    raise ValueModelError(f"encoding {enc.kind!r} has no companion line")
-
-
-def encode_pmf(pmf: ValuePMF, enc: Encoding) -> EncodedPMF:
-    """Push a value PMF through an encoding; colliding levels merge."""
-    pairs = [(encode_value(v, enc), p) for v, p in zip(pmf.support, pmf.probs)]
-    support, probs = _merge(pairs)
-    companion = None
-    if enc.kind in COMPANION_ENCODINGS:
-        cpairs = [(encode_value_companion(v, enc), p) for v, p in zip(pmf.support, pmf.probs)]
-        csupport, cprobs = _merge(cpairs)
-        companion = ValuePMF(csupport, cprobs)
-    return EncodedPMF(
-        kind=enc.kind, bits=enc.bits, support=support, probs=probs, companion=companion
-    )
-
-
 def line_levels(value: int, enc: Encoding) -> tuple[int, ...]:
-    """One value's level on each device line its encoding drives."""
-    if enc.kind in TWO_LINE_ENCODINGS:
-        return encode_value(value, enc), encode_value_companion(value, enc)
-    return (encode_value(value, enc),)
+    """One value's level on each device line its encoding drives: one line,
+    or for differential a second (negative) line of negative magnitudes."""
+    level = encode_value(value, enc)
+    if enc.kind == "differential":
+        return level, max(-value, 0)
+    return (level,)
+
+
+def encode_pmf(pmf: ValuePMF, enc: Encoding) -> tuple[EncodedPMF, ...]:
+    """Push a value PMF through an encoding: one level PMF per device line
+    (line_levels), colliding levels merged."""
+    return tuple(
+        EncodedPMF(enc.kind, enc.bits, *_merge(zip(levels, pmf.probs)))
+        for levels in zip(*[line_levels(v, enc) for v in pmf.support])
+    )
 
 
 def slice_level(level: int, scheme: SliceScheme) -> tuple[int, ...]:
@@ -202,17 +175,8 @@ def slice_pmf(encoded: EncodedPMF, scheme: SliceScheme) -> list[ValuePMF]:
 def line_slices(
     pmf: ValuePMF, enc: Encoding, scheme: SliceScheme
 ) -> tuple[tuple[ValuePMF, ...], ...]:
-    """Slice PMFs of each device line the encoding drives, line by line.
-
-    Lines share one encoded PMF; a second line is the differential
-    encoding's negative line.
-    """
-    encoded = encode_pmf(pmf, enc)
-    lines = [encoded]
-    if enc.kind in TWO_LINE_ENCODINGS:
-        c = encoded.companion
-        lines.append(EncodedPMF(enc.kind, enc.bits, c.support, c.probs))
-    return tuple(tuple(slice_pmf(line, scheme)) for line in lines)
+    """Slice PMFs of each device line the encoding drives, line by line."""
+    return tuple(tuple(slice_pmf(line, scheme)) for line in encode_pmf(pmf, enc))
 
 
 @dataclass(frozen=True)

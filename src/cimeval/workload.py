@@ -50,6 +50,11 @@ def as_integer(value) -> int | None:
         return None
 
 
+def signed_range(bits: int) -> tuple[int, int]:
+    """The lowest and highest value of a bits-wide two's-complement integer."""
+    return -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+
+
 def yaml_error(what: str, exc: yaml.YAMLError) -> str:
     """One line naming the document, the position when known, and the problem."""
     mark = getattr(exc, "problem_mark", None)
@@ -242,7 +247,7 @@ class WorkloadLayer:
     def _check_representable(self, role: str, pmf: ValuePMF) -> None:
         b = self.bits[role]
         if self.is_signed(role):
-            lo, hi = -(1 << (b - 1)), (1 << (b - 1)) - 1
+            lo, hi = signed_range(b)
             if b == 1:
                 # one signed bit carries the antipodal pair, as in
                 # binary-bipolar layers
@@ -272,7 +277,7 @@ class WorkloadLayer:
         if role == "Outputs":
             b = self.bits[role]
             if self.is_signed(role):
-                return uniform_pmf(-(1 << (b - 1)), (1 << (b - 1)) - 1)
+                return uniform_pmf(*signed_range(b))
             return uniform_pmf(0, (1 << b) - 1)
         raise WorkloadError(f"layer {self.name!r}: no PMF for {role}")
 

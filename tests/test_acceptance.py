@@ -567,19 +567,19 @@ def test_criterion_7_encoding_and_slicing_conserve_statistics():
             probs = _random_probs(rng, len(support))
             pmf = ValuePMF(tuple(support), tuple(probs))
 
-            encoded = encode_pmf(pmf, Encoding(kind, bits))
-            assert abs(math.fsum(encoded.probs) - 1.0) <= 1e-9
-            if encoded.companion is not None:
-                assert abs(math.fsum(encoded.companion.probs) - 1.0) <= 1e-9
-
+            lines = encode_pmf(pmf, Encoding(kind, bits))
+            assert len(lines) == (2 if kind == "differential" else 1)
             scheme = _random_partition(rng, bits)
-            slices = slice_pmf(encoded, scheme)
-            mean = math.fsum(l * p for l, p in zip(encoded.support, encoded.probs))
-            rebuilt = 0.0
-            for piece, offset in zip(slices, scheme.offsets):
-                assert abs(math.fsum(piece.probs) - 1.0) <= 1e-9
-                rebuilt += piece.mean() * (1 << offset)
-            assert math.isclose(rebuilt, mean, rel_tol=1e-9, abs_tol=1e-12)
+            # every device line, the differential negative line included
+            for encoded in lines:
+                assert abs(math.fsum(encoded.probs) - 1.0) <= 1e-9
+                slices = slice_pmf(encoded, scheme)
+                mean = math.fsum(l * p for l, p in zip(encoded.support, encoded.probs))
+                rebuilt = 0.0
+                for piece, offset in zip(slices, scheme.offsets):
+                    assert abs(math.fsum(piece.probs) - 1.0) <= 1e-9
+                    rebuilt += piece.mean() * (1 << offset)
+                assert math.isclose(rebuilt, mean, rel_tol=1e-9, abs_tol=1e-12)
 
 
 # ---------------------------------------------------------------- criterion 8

@@ -1,6 +1,8 @@
 """End-to-end exercises for the cimeval command line."""
 
+import collections
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -596,6 +598,30 @@ def test_sweep_csv_schema_and_energies(tmp_path):
     assert float(slow[2]) == pytest.approx(5.82e-12, rel=1e-12, abs=0)
     assert float(fast[2]) == pytest.approx(6.32e-12, rel=1e-12, abs=0)
     assert slow[4] == "1"
+
+
+def test_sweeps_leave_no_cyclic_garbage(capsys):
+    argv = ["sweep", "--arch", ARCH, "--workload", WORKLOAD]
+    # building the parser leaves argparse cycles once per process
+    cli._build_parser()
+    gc.collect()
+    flags, saved = gc.get_debug(), gc.garbage[:]
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(2):
+            assert main(argv + ["--param", "cell.t_read=10.0e-9,20.0e-9"]) == 0
+        gc.collect()
+        left = collections.Counter(type(o).__name__ for o in gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage[:] = saved
+    # one parser serves every call, so no argparse cycles wait on the collector
+    assert not left, left.most_common(5)
+    capsys.readouterr()
+    # and it keeps no --param list from an earlier call
+    assert main(argv) == 2
+    assert "at least one --param" in capsys.readouterr().err
 
 
 def test_sweep_zips_params_and_rejects_bad_specs(tmp_path, capsys):

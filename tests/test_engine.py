@@ -238,6 +238,23 @@ attributes:
         )
 
 
+def _absent_role(roles):
+    with pytest.raises(KeyError, match="Outputs"):
+        roles["Outputs"]
+    return "refused"
+
+
+@pytest.mark.parametrize(
+    "read, expected",
+    [(list, ["Inputs", "Weights"]), (len, 2), (_absent_role, "refused")],
+)
+def test_lazy_role_map_reads_its_keys_without_building(read, expected):
+    built = []
+    roles = engine._LazyRoleMap(("Inputs", "Weights"), built.append)
+    assert read(roles) == expected
+    assert built == []
+
+
 def test_negative_tensor_seed_is_an_engine_error(
     crossbar_arch, tiny_layer, tiny_mapping
 ):
@@ -640,6 +657,92 @@ def test_oracle_pins_every_leaf_directive():
     assert h.hexdigest() == PINNED_LEAF_DIRECTIVES
 
 
+# a 2x2 crossbar like arch_crossbar.yaml with every encoding and slice
+# attribute exposed; the DAC drives the cell's inputs, so it encodes and
+# slices them the same way
+ENCODING_ARCH = """
+--- !Component
+name: buffer
+class: buffer
+temporal_reuse: [Inputs, Outputs]
+attributes: {{e_per_bit: 1.0e-15, width: 8}}
+--- !Component
+name: dac
+class: dac
+no_coalesce: [Inputs]
+attributes: {{e_full_scale: 0.4e-12, model: {dac}, input_encoding: {ienc}{iw}}}
+--- !Component
+name: adc
+class: adc
+no_coalesce: [Outputs]
+attributes: {{resolution: 8}}
+--- !Component
+name: cell
+class: reram_cell
+temporal_reuse: [Weights]
+spatial: {{meshX: 2, meshY: 2}}
+spatial_reuse: [Inputs, Outputs]
+attributes:
+  {{t_read: 1.0e-8, g_min: 1.0e-6, g_max: 4.0e-6, vdd: 0.9,
+   input_encoding: {ienc}, weight_encoding: {wenc}{iw}{ww}}}
+"""
+ENCODING_LAYER = """
+layers:
+  - name: enc
+    dims: {{M: 2, K: 2}}
+    projections: {{Inputs: [K], Weights: [K, M], Outputs: [M]}}
+    bits: {{Inputs: {bits}, Weights: {bits}, Outputs: 8}}
+    pmf: {{Inputs: {pmf}, Weights: {pmf}}}
+"""
+# sha256 over every config's energy-table fingerprint and, where the input
+# and weight slice widths are equal, the oracle's (energy_j.hex(), sorted
+# counts) on the first two enumerated mappings
+PINNED_ENCODINGS = (
+    "52bb7ac84486f045264e26132e6785ea9baec50def2689ea4dd73ed5024e9586"
+)
+
+
+def _encoding_configs():
+    """(input encoding, weight encoding, bits, pmf): XNOR only pairs with
+    itself at 1 bit; the other four pair freely at 4 bits."""
+    yield "xnor", "xnor", 1, "{two_point: [-1, 1, 0.25]}"
+    rest = [k for k in valuemodel.ENCODINGS if k != "xnor"]
+    for ienc in rest:
+        for wenc in rest:
+            yield ienc, wenc, 4, "{uniform: [-7, 7]}"
+
+
+def test_every_encoding_and_slice_width_is_pinned():
+    h = hashlib.sha256()
+    configs = 0
+    for ienc, wenc, bits, pmf in _encoding_configs():
+        layer = parse_workload(ENCODING_LAYER.format(bits=bits, pmf=pmf))[0]
+        widths = [None] + [w for w in (1, 3) if w <= bits]
+        for iw in widths:
+            for ww in widths:
+                for dac in ("value_proportional", "switching"):
+                    arch = parse_arch(
+                        ENCODING_ARCH.format(
+                            dac=dac,
+                            ienc=ienc,
+                            wenc=wenc,
+                            iw="" if iw is None else f", input_slice_width: {iw}",
+                            ww="" if ww is None else f", weight_slice_width: {ww}",
+                        )
+                    )
+                    configs += 1
+                    h.update(LayerEvaluator(arch, layer).table.fingerprint.encode())
+                    if iw != ww:
+                        continue
+                    found = enumerate_mappings(arch, layer, budget=16, seed=0)
+                    for seed, (_, mapping) in zip(range(2), found):
+                        got = oracle_evaluate(arch, layer, mapping, seed=seed)
+                        pinned = (got.energy_j.hex(), sorted(got.counts.items()))
+                        h.update(repr(pinned).encode())
+    assert configs == 8 + 16 * 9 * 2
+    assert h.hexdigest() == PINNED_ENCODINGS
+
+
 def test_first_events_equal_the_first_indices_np_unique_returns():
     rng = np.random.default_rng(17)
     cases = [
@@ -855,14 +958,8 @@ def test_plugin_reading_outputs_gets_the_sliced_default():
     layer = _CONV_LAYERS["fc"]
     probe = _OutputsProbe()
     LayerEvaluator(arch, layer, _probe_registry(probe))
-    expected = (
-        tuple(
-            slice_pmf(
-                encode_pmf(layer.pmf_for("Outputs"), Encoding("offset", 16)),
-                SliceScheme((4, 4, 4, 4)),
-            )
-        ),
-    )
+    (line,) = encode_pmf(layer.pmf_for("Outputs"), Encoding("offset", 16))
+    expected = (tuple(slice_pmf(line, SliceScheme((4, 4, 4, 4)))),)
     assert probe.seen == [expected]
 
 

@@ -7,6 +7,7 @@ off.  Property tests pin the algebra, example tests pin concrete numbers.
 
 import unittest
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,8 +18,9 @@ from cimeval.valuemodel import (
     ValueModelError,
     encode_pmf,
     encode_value,
-    encode_value_companion,
     expected_moment,
+    line_levels,
+    line_slices,
     slice_level,
     slice_pmf,
     switching_rate,
@@ -64,17 +66,15 @@ class EncodeValueTests(unittest.TestCase):
     def test_magnitude_with_sign_companion(self):
         enc = Encoding("magnitude_only", 4)
         self.assertEqual(encode_value(-5, enc), 5)
-        self.assertEqual(encode_value_companion(-5, enc), 1)
-        self.assertEqual(encode_value_companion(5, enc), 0)
+        self.assertEqual(line_levels(-5, enc), (5,))
 
     def test_differential_splits_sign_across_lines(self):
         enc = Encoding("differential", 3)
-        self.assertEqual((encode_value(-2, enc), encode_value_companion(-2, enc)), (0, 2))
-        self.assertEqual((encode_value(3, enc), encode_value_companion(3, enc)), (3, 0))
+        self.assertEqual(line_levels(-2, enc), (0, 2))
+        self.assertEqual(line_levels(3, enc), (3, 0))
 
     def test_companion_requires_two_line_encoding(self):
-        with self.assertRaises(ValueModelError):
-            encode_value_companion(3, Encoding("offset", 4))
+        self.assertEqual(line_levels(3, Encoding("offset", 4)), (11,))
 
     @given(st.integers(2, MAX_BITS), st.data())
     def test_twos_complement_roundtrip(self, bits, data):
@@ -90,24 +90,24 @@ class EncodeValueTests(unittest.TestCase):
         hi = (1 << bits) - 1
         v = data.draw(st.integers(-hi, hi))
         enc = Encoding("differential", bits)
-        self.assertEqual(encode_value(v, enc) - encode_value_companion(v, enc), v)
+        pos, neg = line_levels(v, enc)
+        self.assertEqual(pos - neg, v)
 
 
 class EncodePmfTests(unittest.TestCase):
     def test_differential_pmf_lines(self):
         pmf = two_point_pmf(-2, 3, 0.5)
-        out = encode_pmf(pmf, Encoding("differential", 3))
+        out, neg = encode_pmf(pmf, Encoding("differential", 3))
         self.assertEqual(out.support, (0, 3))
         self.assertEqual(out.probs, (0.5, 0.5))
-        self.assertEqual(out.companion.support, (0, 2))
-        self.assertEqual(out.companion.probs, (0.5, 0.5))
+        self.assertEqual(neg.support, (0, 2))
+        self.assertEqual(neg.probs, (0.5, 0.5))
 
     def test_colliding_levels_merge(self):
         pmf = ValuePMF((-3, 0, 3), (0.25, 0.5, 0.25))
-        out = encode_pmf(pmf, Encoding("magnitude_only", 4))
+        (out,) = encode_pmf(pmf, Encoding("magnitude_only", 4))
         self.assertEqual(out.support, (0, 3))
         self.assertEqual(out.probs, (0.5, 0.5))
-        self.assertEqual(out.companion.support, (0, 1))
 
     def test_level_overflow_rejected(self):
         with self.assertRaises(ValueModelError):
@@ -125,7 +125,7 @@ class SliceTests(unittest.TestCase):
         self.assertEqual(slice_level(0b110110, SliceScheme((2, 2, 2))), (2, 1, 3))
 
     def test_uniform_slices_stay_uniform(self):
-        enc = encode_pmf(uniform_pmf(0, 15), Encoding("twos_complement", 4))
+        (enc,) = encode_pmf(uniform_pmf(0, 15), Encoding("twos_complement", 4))
         lo, hi = slice_pmf(enc, SliceScheme((2, 2)))
         for part in (lo, hi):
             self.assertEqual(part.support, (0, 1, 2, 3))
@@ -141,7 +141,7 @@ class SliceTests(unittest.TestCase):
         bits, widths = bits_widths
         weights = weights[: 1 << bits]
         total = sum(weights)
-        enc = encode_pmf(
+        (enc,) = encode_pmf(
             ValuePMF(tuple(range(len(weights))), tuple(w / total for w in weights)),
             Encoding("twos_complement", bits),
         )
@@ -157,7 +157,7 @@ class SliceTests(unittest.TestCase):
         self.assertEqual(slice_pmf(enc, scheme), expected)
 
     def test_width_mismatch_rejected(self):
-        enc = encode_pmf(uniform_pmf(0, 15), Encoding("twos_complement", 4))
+        (enc,) = encode_pmf(uniform_pmf(0, 15), Encoding("twos_complement", 4))
         with self.assertRaises(ValueModelError):
             slice_pmf(enc, SliceScheme((2, 3)))
 
@@ -194,7 +194,7 @@ class SliceTests(unittest.TestCase):
         pmf = ValuePMF(
             tuple(v for v, _ in pairs), tuple(w / total for _, w in pairs)
         )
-        enc = encode_pmf(pmf, Encoding("twos_complement", bits))
+        (enc,) = encode_pmf(pmf, Encoding("twos_complement", bits))
         scheme = SliceScheme(widths)
         parts = slice_pmf(enc, scheme)
         for part in parts:
@@ -245,6 +245,41 @@ class SwitchingRateTests(unittest.TestCase):
     def test_overflowing_level_rejected(self):
         with self.assertRaises(ValueModelError):
             switching_rate(delta_pmf(4), 2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Encoding("offset", 0), "bit width must be >= 1"),
+        (lambda: SliceScheme(()), "at least one slice"),
+        (lambda: SliceScheme((2, 0)), "slice widths must be >= 1"),
+        (
+            lambda: encode_value(16, Encoding("magnitude_only", 4)),
+            "exceeds 4-bit magnitude range",
+        ),
+        (
+            lambda: encode_value(-16, Encoding("differential", 4)),
+            "exceeds 4-bit differential range",
+        ),
+        (lambda: slice_level(-1, SliceScheme((2,))), "cannot slice a negative level"),
+        (lambda: PhysicalMap("current", 4), "unknown physical map kind 'current'"),
+        (
+            lambda: expected_moment(delta_pmf(0), PhysicalMap.voltage(1.0, 4), power=0),
+            "moment power must be >= 1",
+        ),
+        (lambda: switching_rate(delta_pmf(1), 0), "bit width must be >= 1"),
+        (lambda: switching_rate(delta_pmf(-1), 4), "defined over encoded levels"),
+        (
+            lambda: line_slices(
+                uniform_pmf(-2, 1), Encoding("differential", 2), SliceScheme((2, 1))
+            ),
+            "slice widths sum to 3, encoded width is 2",
+        ),
+    ],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueModelError, match=message):
+        call()
 
 
 if __name__ == "__main__":

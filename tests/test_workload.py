@@ -55,6 +55,37 @@ def test_pmf_validation():
         ValuePMF((), ())
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ValuePMF((0, 1), (1.0,)), "lengths differ"),
+        (lambda: ValuePMF((0.0, 1), (0.5, 0.5)), "must be integers, got 0.0"),
+        (lambda: build_pmf([]), "zero samples"),
+        (lambda: build_pmf([1.0, 2.5]), "samples must be integers"),
+        (
+            lambda: EinsumSpec(
+                (("K", 2), ("K", 3)), {"Inputs": ("K",), "Weights": ("K",), "Outputs": ()}
+            ),
+            "duplicate dim 'K'",
+        ),
+        (
+            lambda: parse_workload(read_fixture("workload_tiny.yaml"))[0].pmf_for("Psums"),
+            "layer 'tiny': no PMF for Psums",
+        ),
+    ],
+)
+def test_refusals(call, message):
+    with pytest.raises(WorkloadError, match=message):
+        call()
+
+
+def test_build_pmf_accepts_integral_floats():
+    pmf = build_pmf([2.0, 0.0, 2.0, 2.0])
+    assert pmf.support == (0, 2)
+    assert all(type(v) is int for v in pmf.support)
+    assert pmf.probs == (0.25, 0.75)
+
+
 def test_build_pmf_frequencies():
     pmf = build_pmf([3, 0, 0, 3, 3, 1, 0, 0])
     assert pmf.support == (0, 1, 3)
