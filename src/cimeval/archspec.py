@@ -199,9 +199,6 @@ class ArchTree:
     def node(self, name: str) -> ArchNode:
         return self.nodes[self.node_index[name]]
 
-    def index(self, name: str) -> int:
-        return self.node_index[name]
-
     def components(self) -> tuple[ArchNode, ...]:
         return tuple(n for n in self.nodes if n.kind == "component")
 
@@ -212,7 +209,7 @@ def instances(tree: ArchTree, name: str) -> int:
     Only Containers enclose later nodes; a meshed Component replicates just
     itself (a bank), so its mesh never multiplies its siblings.
     """
-    idx = tree.index(name)
+    idx = tree.node_index[name]
     count = tree.nodes[idx].spatial.mesh
     for node in tree.nodes[:idx]:
         if node.kind == "container":
@@ -373,24 +370,17 @@ def serialize_arch(tree: ArchTree) -> str:
             roles = getattr(node, key)
             if roles:
                 payload[key] = list(roles)
-        if node.spatial.mesh_x != 1 or node.spatial.mesh_y != 1:
-            spatial = {}
-            if node.spatial.mesh_x != 1:
-                spatial["meshX"] = node.spatial.mesh_x
-            if node.spatial.mesh_y != 1:
-                spatial["meshY"] = node.spatial.mesh_y
-            payload["spatial"] = spatial
+        mesh = {"meshX": node.spatial.mesh_x, "meshY": node.spatial.mesh_y}
+        if any(n != 1 for n in mesh.values()):
+            payload["spatial"] = {k: n for k, n in mesh.items() if n != 1}
         if node.spatial.spatial_reuse:
             payload["spatial_reuse"] = list(node.spatial.spatial_reuse)
         cons = node.constraints
-        if cons.keep_dims or cons.max_tile or cons.spatial_dims is not None:
-            block: dict = {}
-            if cons.keep_dims:
-                block["keep_dims"] = list(cons.keep_dims)
-            if cons.max_tile:
-                block["max_tile"] = dict(cons.max_tile)
-            if cons.spatial_dims is not None:
-                block["spatial_dims"] = list(cons.spatial_dims)
+        block = {"keep_dims": list(cons.keep_dims), "max_tile": dict(cons.max_tile)}
+        block = {k: v for k, v in block.items() if v}
+        if cons.spatial_dims is not None:
+            block["spatial_dims"] = list(cons.spatial_dims)
+        if block:
             payload["constraints"] = block
         tag = "!Component" if node.kind == "component" else "!Container"
         parts.append(f"--- {tag}\n" + yaml.safe_dump(payload, sort_keys=False))

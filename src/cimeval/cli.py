@@ -49,6 +49,7 @@ from .mapping import (
     MapperConfig,
     Mapping,
     MappingError,
+    SlotTable,
     check_valid,
     parse_mapping,
     serialize_mapping,
@@ -198,10 +199,12 @@ def _load(args, one: str | None = None):
 def _cmd_evaluate(args) -> int:
     arch, layer = _load(args, "evaluate")
     mapping = _load_mapping(args.mapping)
-    diag = check_valid(arch, layer, mapping)
+    # check the mapping before pricing, on the slot table the evaluator reuses
+    table = SlotTable(arch, layer)
+    diag = check_valid(arch, layer, mapping, table)
     if not diag.ok:
         raise _CliError("invalid mapping: " + "; ".join(diag.errors))
-    evaluator = LayerEvaluator(arch, layer)
+    evaluator = LayerEvaluator(arch, layer, table=table)
     res = evaluator.evaluate(mapping)
     _emit_report(
         args,
@@ -222,9 +225,7 @@ def _cmd_search(args) -> int:
     arch, layers = _load(args)
     if args.dump_mapping and len(layers) != 1:
         raise _CliError("--dump-mapping needs --layer with multi-layer workloads")
-    config = MapperConfig(
-        objective=args.objective, budget=args.budget, seed=args.seed
-    )
+    config = MapperConfig(args.objective, args.budget, args.seed)
     per_layer: dict = {}
     totals = {"energy_j": 0.0, "latency_s": 0.0, "macs": 0}
     area = None
@@ -335,9 +336,7 @@ def _cmd_sweep(args) -> int:
                 "zipped --param lists must have equal lengths; "
                 f"{path} has {len(values)}, expected {n_points}"
             )
-    config = MapperConfig(
-        objective=args.objective, budget=args.budget, seed=args.seed
-    )
+    config = MapperConfig(args.objective, args.budget, args.seed)
     paths = [path for path, _ in params]
     columns = (
         ["layer"]
@@ -433,15 +432,14 @@ def _cmd_validate(args) -> int:
     problems: list[str] = []
     warnings: list[str] = []
     arch = parse_arch(_read(args.arch, "arch"))
-    layers: list[WorkloadLayer] = []
-    if args.workload:
-        layers = _load_layers(args.workload, args.layer)
-    for layer in layers:
+    layers = _load_layers(args.workload, args.layer) if args.workload else []
+    tables = [SlotTable(arch, layer) for layer in layers]
+    for layer, table in zip(layers, tables):
         errors = validate(arch, layer)
         if not errors:
             # build what evaluate builds: the count plan, energy table, area
             try:
-                LayerEvaluator(arch, layer)
+                LayerEvaluator(arch, layer, table=table)
             except _INPUT_ERRORS as e:
                 errors = [str(e)]
         problems += [f"[{layer.name}] {e}" for e in errors]
@@ -451,8 +449,8 @@ def _cmd_validate(args) -> int:
         if not layers:
             raise _CliError("validating a mapping needs --workload")
         mapping = _load_mapping(args.mapping)
-        for layer in layers:
-            diag = check_valid(arch, layer, mapping)
+        for layer, table in zip(layers, tables):
+            diag = check_valid(arch, layer, mapping, table)
             problems += [f"[{layer.name}] {e}" for e in diag.errors]
             warnings += [f"[{layer.name}] {w}" for w in diag.warnings]
     for w in warnings:

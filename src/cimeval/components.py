@@ -182,10 +182,6 @@ def buffer_access_energy(ctx: ActionContext) -> float:
     return float(ctx.attr("e_per_bit")) * float(ctx.attr("width"))
 
 
-def adder_energy(ctx: ActionContext) -> float:
-    return float(ctx.attr("e_per_add"))
-
-
 class ComponentModel(ABC):
     """Energy/area model for one component class."""
 
@@ -356,7 +352,7 @@ class BufferModel(ComponentModel):
 class AdderModel(ComponentModel):
     def energy_per_action(self, action: str, ctx: ActionContext) -> float:
         if action in ("compute", "convert"):
-            return adder_energy(ctx)
+            return float(ctx.attr("e_per_add"))
         self._unsupported(action, ctx)
 
 

@@ -18,6 +18,7 @@ the whole model.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from collections import abc
@@ -50,7 +51,8 @@ from .mapping import (
     build_count_plan,
     check_valid,
 )
-from .valuemodel import Encoding, SliceScheme, line_slices
+from . import valuemodel
+from .valuemodel import Encoding, SliceScheme, slice_pmf
 from .workload import ROLES, WorkloadLayer, as_integer, mac_count
 
 DEFAULT_CLOCK_PERIOD = 1e-9
@@ -86,23 +88,20 @@ def _slice_scheme(bits: int, width) -> SliceScheme:
 
 
 class _LazyRoleMap(abc.Mapping):
-    """Read-only role mapping whose values are built on first access.
+    """Read-only role mapping whose values are built on access.
 
     The key set is fixed up front, so membership tests and iteration never
-    build anything; each value is built once by ``build(role)``.
+    build anything; reading a role calls ``build(role)``, which caches.
     """
 
     def __init__(self, roles, build):
         self._roles = tuple(roles)
         self._build = build
-        self._built: dict = {}
 
     def __getitem__(self, role: str):
         if role not in self._roles:
             raise KeyError(role)
-        if role not in self._built:
-            self._built[role] = self._build(role)
-        return self._built[role]
+        return self._build(role)
 
     def __contains__(self, role) -> bool:
         return role in self._roles
@@ -114,16 +113,29 @@ class _LazyRoleMap(abc.Mapping):
         return len(self._roles)
 
 
-def build_action_context(node, layer: WorkloadLayer) -> ActionContext:
+def _shared_lines(layer: WorkloadLayer, stats: dict, role: str, enc, scheme):
+    """The role's slice PMFs per device line; the contexts that share
+    ``stats`` encode a role once per encoding and slice it once per scheme."""
+    if (role, enc) not in stats:
+        # through its module, so a caller that wraps encode_pmf sees the call
+        stats[role, enc] = valuemodel.encode_pmf(layer.pmf_for(role), enc)
+    if (role, enc, scheme) not in stats:
+        encoded = stats[role, enc]
+        stats[role, enc, scheme] = tuple(tuple(slice_pmf(p, scheme)) for p in encoded)
+    return stats[role, enc, scheme]
+
+
+def build_action_context(node, layer: WorkloadLayer, stats=None) -> ActionContext:
     """Resolve the encoded, sliced operand statistics one node sees.
 
     Encodings and slice widths are datapath properties, so they come from
     node attributes (input_encoding, weight_slice_width, ...); bit widths
     come from the layer.  ``lines`` is a read-only mapping that encodes a
-    role and slices each device line (valuemodel.line_slices) on its first
-    access, so a role no model reads costs nothing.  A role with no
-    declared PMF and more than _DEFAULT_PMF_BITS_CAP bits has no entry; a
-    model that prices on such a role reports the missing distribution.
+    role and slices each device line on its first access, so a role no
+    model reads costs nothing; contexts built with one ``stats`` dict share
+    those builds (_shared_lines).  A role with no declared PMF and more
+    than _DEFAULT_PMF_BITS_CAP bits has no entry; a model that prices on
+    such a role reports the missing distribution.
     """
     attrs = node.attributes
     encodings: dict[str, Encoding] = {}
@@ -137,6 +149,7 @@ def build_action_context(node, layer: WorkloadLayer) -> ActionContext:
     present = [
         r for r in ROLES if r in layer.pmfs or layer.bits[r] <= _DEFAULT_PMF_BITS_CAP
     ]
+    stats = {} if stats is None else stats
     return ActionContext(
         layer=layer.name,
         node=node.name,
@@ -145,8 +158,8 @@ def build_action_context(node, layer: WorkloadLayer) -> ActionContext:
         schemes=schemes,
         lines=_LazyRoleMap(
             present,
-            lambda role: line_slices(
-                layer.pmf_for(role), encodings[role], schemes[role]
+            lambda role: _shared_lines(
+                layer, stats, role, encodings[role], schemes[role]
             ),
         ),
     )
@@ -173,14 +186,6 @@ class EnergyTable:
             ) from None
 
 
-def _table_fingerprint(layer_name: str, entries: dict) -> str:
-    h = hashlib.sha256()
-    h.update(layer_name.encode())
-    for (node, action), e in sorted(entries.items()):
-        h.update(f"{node}|{action}|{e!r}\n".encode())
-    return h.hexdigest()
-
-
 def precompute_energy_table(
     arch: ArchTree,
     layer: WorkloadLayer,
@@ -191,6 +196,7 @@ def precompute_energy_table(
     if plan is None:
         _, plan = build_count_plan(arch, layer)
     contexts: dict[str, ActionContext] = {}
+    stats: dict = {}  # the operand statistics the nodes' contexts share
     entries: dict[tuple[str, str], float] = {}
     for e in plan.entries:
         key = (e.node, e.action)
@@ -203,10 +209,13 @@ def precompute_energy_table(
                 "Component with a model class"
             )
         if node.name not in contexts:
-            contexts[node.name] = build_action_context(node, layer)
+            contexts[node.name] = build_action_context(node, layer, stats)
         model = registry.get(node.klass)
         entries[key] = float(model.energy_per_action(e.action, contexts[node.name]))
-    return EnergyTable(layer.name, entries, _table_fingerprint(layer.name, entries))
+    h = hashlib.sha256(layer.name.encode())
+    for (node, action), e in sorted(entries.items()):
+        h.update(f"{node}|{action}|{e!r}\n".encode())
+    return EnergyTable(layer.name, entries, h.hexdigest())
 
 
 def total_area(arch: ArchTree, registry: ModelRegistry | None = None) -> float:
@@ -268,18 +277,21 @@ def _objective(
 
 
 class LayerEvaluator:
-    """Bundles the compiled plan and energy table for one (arch, layer)."""
+    """Bundles the compiled plan and energy table for one (arch, layer), and
+    owns its slot table (``table``, when given): pass ``slot_table`` to
+    check_valid and MappingSpace so that they reuse it and its rules."""
 
     def __init__(
         self,
         arch: ArchTree,
         layer: WorkloadLayer,
         registry: ModelRegistry | None = None,
+        table: SlotTable | None = None,
     ):
         self.arch = arch
         self.layer = layer
         self.registry = registry or DEFAULT_REGISTRY
-        self.slot_table, self.plan = build_count_plan(arch, layer)
+        self.slot_table, self.plan = build_count_plan(arch, layer, table)
         self.table = precompute_energy_table(arch, layer, self.registry, self.plan)
         self.area_m2 = total_area(arch, self.registry)
         self.clock = float(
@@ -354,7 +366,7 @@ def search(
     and ties on the objective break toward the lower index.
     """
     evaluator = LayerEvaluator(arch, layer, registry)
-    space = MappingSpace(arch, layer)
+    space = MappingSpace(arch, layer, evaluator.slot_table)
     idxs = space.draw_array(config.budget, config.seed)
     best = None
     valid = 0
@@ -454,11 +466,11 @@ def oracle_evaluate(
     exact sum once.
     """
     registry = registry or DEFAULT_REGISTRY
-    diag = check_valid(arch, layer, mapping)
+    table = SlotTable(arch, layer)
+    diag = check_valid(arch, layer, mapping, table)
     if not diag.ok:
         raise EngineError("invalid mapping: " + "; ".join(diag.errors))
 
-    table = SlotTable(arch, layer)
     bounds = table.bounds_from_mapping(mapping)
     n_points = math.prod(bounds)
     # a valid mapping covers every dim, so any point beyond the MACs is padding
@@ -514,8 +526,10 @@ def oracle_evaluate(
             acc = np.broadcast_to(acc, shape).copy()
         return acc.ravel()
 
-    def first_events(ids) -> np.ndarray:
-        """Walk-order index of the first point of each distinct key over `ids`."""
+    @functools.cache
+    def first_events(ids: frozenset[int]) -> np.ndarray:
+        """Walk-order index of the first point of each distinct key over
+        `ids`; each slot set's keys are built once."""
         weight, key_range = radix(ids)
         return _first_events(linear(weight), key_range)
 
@@ -611,7 +625,7 @@ def oracle_evaluate(
                     price(t, role, "fill", tile_ids(t), per_value=False)
                 demand = tile_ids(t)
 
-    temporal_ids = [sid for sid in nest_ids if slots[sid].kind == TEMPORAL]
+    temporal_ids = frozenset(sid for sid in nest_ids if slots[sid].kind == TEMPORAL)
     return OracleResult(
         layer=layer.name,
         energy_j=math.fsum(energy_terms),

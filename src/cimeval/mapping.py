@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 import yaml
@@ -331,8 +331,11 @@ def _role_chain_entries(
             demand = tile_demand(t)
 
 
-def build_count_plan(arch: ArchTree, layer: WorkloadLayer) -> tuple[SlotTable, CountPlan]:
-    table = SlotTable(arch, layer)
+def build_count_plan(
+    arch: ArchTree, layer: WorkloadLayer, table: SlotTable | None = None
+) -> tuple[SlotTable, CountPlan]:
+    """The slot table (``table``, or one built here) and its count plan."""
+    table = SlotTable(arch, layer) if table is None else table
     entries: list[PlanEntry] = []
     all_idx = tuple(range(len(table.slots)))
     entries.append(
@@ -511,7 +514,9 @@ def check_valid(
     Under-tiling (a dim whose loop bounds multiply to less than its size)
     is an error; over-tiling is accepted as padding and reported as a
     warning, since the counting model then prices the padded iteration
-    space honestly.
+    space honestly.  Pass the slot table the caller already holds (a
+    LayerEvaluator's ``slot_table`` or a MappingSpace's ``table``) to reuse
+    it and its compiled rules; without one a table is built here.
     """
     diag = Diagnostics()
     if table is None:
@@ -624,15 +629,17 @@ class MappingSpace:
     capped at their mesh axis, and each max_tile window caps a tail product
     of the dim's slots.  A mapping index is a mixed-radix number over the
     per-dim tables, so the space supports exhaustive iteration and seeded
-    uniform sampling without replacement.
+    uniform sampling without replacement.  ``table`` shares a slot table
+    (and its compiled rules) the caller already built for the same pair,
+    as search shares its LayerEvaluator's.
     """
 
     MAX_PER_DIM = 2_000_000
 
-    def __init__(self, arch: ArchTree, layer: WorkloadLayer):
-        self.table = SlotTable(arch, layer)
-        self.arch = arch
-        self.layer = layer
+    def __init__(
+        self, arch: ArchTree, layer: WorkloadLayer, table: SlotTable | None = None
+    ):
+        self.table = SlotTable(arch, layer) if table is None else table
         rules = self.table._rules
         # the rules that bind one dim prune its factorizations: a mesh axis
         # caps each of its slots, a spatial_dims rule fixes its slot at 1,
@@ -688,9 +695,7 @@ class MappingSpace:
             self.dim_slots[dim] = slot_ids
             self.dim_choices[dim] = choices
         self.radices = [len(self.dim_choices[d]) for d, _ in self.table.dims]
-        self.total = reduce(lambda a, b: a * b, self.radices, 1) if all(
-            self.radices
-        ) else 0
+        self.total = math.prod(self.radices)
 
     def bounds_ok(self, bounds):
         """check_valid's verdict on bounds this space generated, or a mask

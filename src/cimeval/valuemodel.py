@@ -114,11 +114,10 @@ def encode_value(value: int, enc: Encoding) -> int:
         if abs(value) > (1 << b) - 1:
             raise ValueModelError(f"|{value}| exceeds {b}-bit magnitude range")
         return abs(value)
-    if enc.kind == "differential":
-        if abs(value) > (1 << b) - 1:
-            raise ValueModelError(f"|{value}| exceeds {b}-bit differential range")
-        return max(value, 0)
-    raise ValueModelError(f"unknown encoding {enc.kind!r}")
+    # differential: Encoding.__post_init__ admits no other kind
+    if abs(value) > (1 << b) - 1:
+        raise ValueModelError(f"|{value}| exceeds {b}-bit differential range")
+    return max(value, 0)
 
 
 def line_levels(value: int, enc: Encoding) -> tuple[int, ...]:
@@ -170,13 +169,6 @@ def slice_pmf(encoded: EncodedPMF, scheme: SliceScheme) -> list[ValuePMF]:
         support = tuple(sorted(acc))
         out.append(ValuePMF(support, tuple(acc[v] for v in support)))
     return out
-
-
-def line_slices(
-    pmf: ValuePMF, enc: Encoding, scheme: SliceScheme
-) -> tuple[tuple[ValuePMF, ...], ...]:
-    """Slice PMFs of each device line the encoding drives, line by line."""
-    return tuple(tuple(slice_pmf(line, scheme)) for line in encode_pmf(pmf, enc))
 
 
 @dataclass(frozen=True)

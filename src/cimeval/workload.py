@@ -244,20 +244,24 @@ class WorkloadLayer:
             if role not in self.pmfs:
                 raise WorkloadError(f"layer {self.name!r}: missing PMF for {role}")
 
-    def _check_representable(self, role: str, pmf: ValuePMF) -> None:
+    def _values(self, role: str) -> range:
+        """The values the role's bit width holds, ascending.  One signed bit
+        carries the antipodal pair {-1, 1}, as in binary-bipolar layers."""
         b = self.bits[role]
-        if self.is_signed(role):
-            lo, hi = signed_range(b)
-            if b == 1:
-                # one signed bit carries the antipodal pair, as in
-                # binary-bipolar layers
-                lo, hi = -1, 1
-        else:
-            lo, hi = 0, (1 << b) - 1
-        if pmf.min_value < lo or pmf.max_value > hi:
+        if not self.is_signed(role):
+            return range(1 << b)
+        if b == 1:
+            return range(-1, 2, 2)
+        lo, hi = signed_range(b)
+        return range(lo, hi + 1)
+
+    def _check_representable(self, role: str, pmf: ValuePMF) -> None:
+        values = self._values(role)
+        if pmf.min_value < values[0] or pmf.max_value > values[-1]:
             raise WorkloadError(
                 f"layer {self.name!r}: {role} support [{pmf.min_value}, {pmf.max_value}] "
-                f"does not fit {b}-bit {'signed' if self.is_signed(role) else 'unsigned'} range"
+                f"does not fit {self.bits[role]}-bit "
+                f"{'signed' if self.is_signed(role) else 'unsigned'} range"
             )
 
     def is_signed(self, role: str) -> bool:
@@ -271,14 +275,13 @@ class WorkloadLayer:
         return pmf.min_value < 0
 
     def pmf_for(self, role: str) -> ValuePMF:
-        """Declared PMF, or for Outputs a uniform default over the bit range."""
+        """Declared PMF, or for Outputs a uniform default over the values
+        its bit width holds."""
         if role in self.pmfs:
             return self.pmfs[role]
         if role == "Outputs":
-            b = self.bits[role]
-            if self.is_signed(role):
-                return uniform_pmf(*signed_range(b))
-            return uniform_pmf(0, (1 << b) - 1)
+            values = self._values(role)
+            return ValuePMF(tuple(values), (1.0 / len(values),) * len(values))
         raise WorkloadError(f"layer {self.name!r}: no PMF for {role}")
 
 

@@ -47,6 +47,7 @@ attributes: {e_mac: 1.0e-13}
 def test_parse_crossbar_fixture():
     tree = parse_arch(read_fixture("arch_crossbar.yaml"))
     assert [n.name for n in tree] == ["buffer", "accum", "dac", "adc", "cell"]
+    assert len(tree) == 5
     assert tree.leaf.name == "cell"
     assert tree.leaf.klass == "reram_cell"
     assert tree.node("buffer").directive("Inputs") == "temporal_reuse"

@@ -6,13 +6,16 @@ import gc
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cimeval import MappingSpace, __version__, cli, parse_arch, parse_workload
@@ -937,6 +940,20 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.strip() == __version__
 
 
+@pytest.mark.parametrize(
+    "mapping, code", [("mapping_tiny.yaml", 0), ("arch_crossbar.yaml", 2)]
+)
+def test_module_runs_as_a_script_and_exits_with_the_code(mapping, code):
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "cimeval.cli", "validate", "--arch", ARCH,
+         "--workload", WORKLOAD, "--mapping", fixture_path(mapping)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 FUZZ_FILES = ("arch_crossbar.yaml", "workload_tiny.yaml", "mapping_tiny.yaml")
 FUZZ_TOKENS = (
     "foo", "true", ".nan", ".inf", "-1", "0", "1.5",
@@ -962,14 +979,15 @@ FUZZ_SITES = [
 FUZZ_COMMANDS = ("evaluate", "search", "sweep", "oracle-compare", "validate")
 
 
-def _run_fuzzed(name: str, text: str, command: str) -> None:
-    """Run one subcommand on the fixtures with ``name`` replaced by ``text``:
-    it exits with a known code, never a traceback, and outside validate
-    (which lists every problem on stdout) a failure is one stderr line."""
+def _run_fuzzed(texts: dict, command: str) -> None:
+    """Run one subcommand on the fixtures, each file ``texts`` names
+    replaced by its text: it exits with a known code, never a traceback,
+    and outside validate (which lists every problem on stdout) a failure is
+    one stderr line."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = {f: Path(tmp) / f for f in FUZZ_FILES}
         for f, fixture in FUZZ_TEXTS.items():
-            paths[f].write_text(text if f == name else fixture, encoding="utf-8")
+            paths[f].write_text(texts.get(f, fixture), encoding="utf-8")
         argv = [command, "--arch", str(paths[FUZZ_FILES[0]])]
         argv += ["--workload", str(paths[FUZZ_FILES[1]])]
         if command in ("evaluate", "oracle-compare", "validate"):
@@ -999,7 +1017,7 @@ def _run_fuzzed(name: str, text: str, command: str) -> None:
 def test_one_replaced_value_exits_with_a_known_code(site, token, command):
     name, (start, end) = site
     text = FUZZ_TEXTS[name]
-    _run_fuzzed(name, text[:start] + token + text[end:], command)
+    _run_fuzzed({name: text[:start] + token + text[end:]}, command)
 
 
 # a block "key: value" line, or a "key: value" entry of a flow map with the
@@ -1031,4 +1049,70 @@ FUZZ_DELETIONS = [
 def test_one_deleted_entry_exits_with_a_known_code(site, command):
     name, (start, end) = site
     text = FUZZ_TEXTS[name]
-    _run_fuzzed(name, text[:start] + text[end:], command)
+    _run_fuzzed({name: text[:start] + text[end:]}, command)
+
+
+def _edited(texts: dict, edits) -> dict:
+    """``texts`` with each (file, (start, end), new) edit applied; spans
+    index the unedited text, so the edits go in from the end backwards."""
+    texts = dict(texts)
+    for name, (start, end), new in sorted(edits, key=lambda e: e[1], reverse=True):
+        texts[name] = texts[name][:start] + new + texts[name][end:]
+    return texts
+
+
+# one edit: a scalar replaced by a token, or an entry deleted
+FUZZ_EDITS = st.one_of(
+    st.tuples(st.sampled_from(FUZZ_SITES), st.sampled_from(FUZZ_TOKENS)),
+    st.tuples(st.sampled_from(FUZZ_DELETIONS), st.just("")),
+).map(lambda e: (e[0][0], e[0][1], e[1]))
+
+
+@given(FUZZ_EDITS, FUZZ_EDITS, st.sampled_from(FUZZ_COMMANDS))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_two_edits_at_once_exit_with_a_known_code(first, second, command):
+    (name_a, (start_a, end_a), _), (name_b, (start_b, end_b), _) = first, second
+    # two edits of one span, or of overlapping spans, are not two edits
+    assume(name_a != name_b or end_a <= start_b or end_b <= start_a)
+    _run_fuzzed(_edited(FUZZ_TEXTS, [first, second]), command)
+
+
+# The arch with constraints that name dims, and the mapping: every node and
+# dim name in them is a site that a rename can make unknown or duplicate.
+NAME_TEXTS = {
+    FUZZ_FILES[0]: FUZZ_TEXTS[FUZZ_FILES[0]].replace(
+        "spatial_reuse:",
+        "constraints: {keep_dims: [M], max_tile: {K: 2}, spatial_dims: [M, K]}\n"
+        "spatial_reuse:",
+    ),
+    FUZZ_FILES[2]: FUZZ_TEXTS[FUZZ_FILES[2]],
+}
+_NAME = re.compile(r"\b(?:buffer|accum|dac|adc|cell|M|K)\b")
+NAME_SITES = [
+    (name, m.span()) for name, text in NAME_TEXTS.items() for m in _NAME.finditer(text)
+]
+
+
+def test_the_named_fixtures_evaluate():
+    assert len(NAME_SITES) == 15
+    _run_fuzzed(NAME_TEXTS, "evaluate")
+    with tempfile.TemporaryDirectory() as tmp:
+        arch = Path(tmp) / "arch.yaml"
+        arch.write_text(NAME_TEXTS[FUZZ_FILES[0]], encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["validate", "--arch", str(arch), "--workload", WORKLOAD,
+                         "--mapping", MAPPING]) == 0
+    assert out.getvalue() == "ok\n"
+
+
+@given(
+    st.lists(st.sampled_from(NAME_SITES), min_size=1, max_size=2, unique=True),
+    st.sampled_from(("ghost", "Z", "cell", "K")),
+    st.sampled_from(FUZZ_COMMANDS),
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_unknown_node_and_dim_names_exit_with_a_known_code(sites, new, command):
+    _run_fuzzed(
+        _edited(NAME_TEXTS, [(name, span, new) for name, span in sites]), command
+    )

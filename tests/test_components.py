@@ -233,6 +233,13 @@ def test_dac_oracle_energy_per_value():
         model.oracle_energy("convert", ctx, {"Inputs": v}) for v in range(4)
     ) / 4
     assert mean == pytest.approx(model.energy_per_action("convert", ctx), rel=1e-12, abs=0)
+    # a conversion with no Inputs values prices every event at the average
+    got = model.oracle_energy("convert", ctx, {"Weights": np.arange(2)})
+    assert got.tolist() == [model.energy_per_action("convert", ctx)] * 2
+    # an action other than convert falls back to energy_per_action, which
+    # refuses it
+    with pytest.raises(ComponentError, match="^node 'dac': model DacModel cannot price 'read'$"):
+        model.oracle_energy("read", ctx, {"Inputs": np.arange(2)})
 
 
 def _widths(bits: int):

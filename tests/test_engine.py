@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cimeval import engine, valuemodel
+from cimeval import cli, engine, valuemodel
 from cimeval.archspec import parse_arch, validate
 from cimeval.components import (
     AdcModel,
@@ -31,13 +31,15 @@ from cimeval.mapping import (
     Mapping,
     MapperConfig,
     MappingError,
+    SlotTable,
     enumerate_mappings,
     parse_mapping,
+    serialize_mapping,
 )
 from cimeval.valuemodel import Encoding, SliceScheme, encode_pmf, slice_pmf
 from cimeval.workload import parse_workload
 
-from conftest import read_fixture
+from conftest import fixture_path, read_fixture
 from test_mapping import ARCH_HIER, ARCH_NO_REDUCE
 
 # hand-priced units for the crossbar fixture:
@@ -968,3 +970,95 @@ def test_plugin_reading_wide_undeclared_outputs_fails(crossbar_arch):
         LayerEvaluator(
             crossbar_arch, _CONV_LAYERS["conv3x3"], _probe_registry(_OutputsProbe())
         )
+
+
+def _count_builds(monkeypatch) -> dict:
+    """Count SlotTable builds and encode_pmf calls while the test runs."""
+    built = {"SlotTable": 0, "encode_pmf": 0}
+    real_init = SlotTable.__init__
+    real_encode = valuemodel.encode_pmf
+
+    def counting_init(self, *args):
+        built["SlotTable"] += 1
+        real_init(self, *args)
+
+    def counting_encode(pmf, enc):
+        built["encode_pmf"] += 1
+        return real_encode(pmf, enc)
+
+    monkeypatch.setattr(SlotTable, "__init__", counting_init)
+    monkeypatch.setattr(valuemodel, "encode_pmf", counting_encode)
+    return built
+
+
+_TINY_ARGS = [
+    "--arch", fixture_path("arch_crossbar.yaml"),
+    "--workload", fixture_path("workload_tiny.yaml"),
+]
+_TINY_MAPPING_ARGS = _TINY_ARGS + ["--mapping", fixture_path("mapping_tiny.yaml")]
+
+
+@pytest.mark.parametrize(
+    "argv, tables, encodes",
+    [
+        (["search", "--budget", "20"] + _TINY_ARGS, 1, 2),
+        (["evaluate"] + _TINY_MAPPING_ARGS, 1, 2),
+        (["validate"] + _TINY_MAPPING_ARGS, 1, 2),
+        # the oracle keeps a slot table of its own
+        (["oracle-compare"] + _TINY_MAPPING_ARGS, 2, 2),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_each_command_builds_one_slot_table_per_consumer(
+    monkeypatch, capsys, argv, tables, encodes
+):
+    built = _count_builds(monkeypatch)
+    assert cli.main(argv) == 0
+    assert built == {"SlotTable": tables, "encode_pmf": encodes}
+
+
+@pytest.mark.parametrize("name", sorted(_CONV_LAYERS))
+def test_search_and_oracle_build_one_slot_table_per_layer(
+    monkeypatch, crossbar_arch, tiny_layer, tiny_mapping, name
+):
+    built = _count_builds(monkeypatch)
+    search(crossbar_arch, _CONV_LAYERS[name], MapperConfig(budget=20))
+    # the DAC and the cell read the same Inputs encoding: one encode each
+    # for Inputs and Weights
+    assert built == {"SlotTable": 1, "encode_pmf": 2}
+    oracle_evaluate(crossbar_arch, tiny_layer, tiny_mapping)
+    assert built["SlotTable"] == 2
+
+
+def test_nodes_share_an_encode_but_slice_per_scheme(monkeypatch):
+    arch = parse_arch(
+        read_fixture("arch_crossbar.yaml").replace(
+            "g_max: 50.0e-6", "g_max: 50.0e-6\n  input_slice_width: 2"
+        )
+    )
+    built = _count_builds(monkeypatch)
+    sliced = []
+    real_slice = engine.slice_pmf
+    monkeypatch.setattr(
+        engine, "slice_pmf", lambda line, scheme: sliced.append(scheme.widths)
+        or real_slice(line, scheme)
+    )
+    LayerEvaluator(arch, _CONV_LAYERS["fc"])
+    assert built["encode_pmf"] == 2
+    # Inputs whole at the DAC and in 2-bit slices at the cell, Weights whole
+    assert sorted(sliced) == [(2, 2), (4,), (4,)]
+
+
+def test_oracle_builds_each_key_set_once(monkeypatch, crossbar_arch, tiny_layer):
+    keys = []
+    real_first = engine._first_events
+
+    def recording_first(k, key_range):
+        keys.append(k.tobytes())
+        return real_first(k, key_range)
+
+    monkeypatch.setattr(engine, "_first_events", recording_first)
+    for mapping in (m for _, m in enumerate_mappings(crossbar_arch, tiny_layer)):
+        keys.clear()
+        oracle_evaluate(crossbar_arch, tiny_layer, mapping)
+        assert len(keys) == len(set(keys)), serialize_mapping(mapping)

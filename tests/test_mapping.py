@@ -34,6 +34,7 @@ from cimeval.mapping import (
     SlotTable,
     _divisors,
     _factorizations,
+    _sample_sorted,
     build_count_plan,
     check_valid,
     enumerate_mappings,
@@ -235,6 +236,9 @@ def test_unknown_names_are_errors(crossbar_arch, tiny_layer):
         Loop("M", 0, "temporal")
     with pytest.raises(MappingError):
         Loop("M", 2, "diagonal")
+    for bound in (2.0, "2", None, True):
+        with pytest.raises(MappingError, match="loop bound must be an int"):
+            Loop("M", bound)
 
 
 def test_check_valid_diagnostic_classes(crossbar_arch, tiny_layer):
@@ -793,6 +797,15 @@ def test_mapping_yaml_round_trip(tiny_mapping):
     # a bare node map is accepted, and kind defaults to temporal
     m = parse_mapping("buffer: [{dim: M, bound: 4}]")
     assert m.node_loops("buffer")[0].kind == "temporal"
+    # a node named with no loops has none, as has a node not named at all
+    m = parse_mapping("nodes: {buffer: null, cell: [{dim: M, bound: 2}]}")
+    assert m.loops[0] == ("buffer", ())
+    assert m.node_loops("buffer") == m.node_loops("dac") == ()
+
+
+def test_sample_refuses_a_negative_budget():
+    with pytest.raises(ValueError, match="sample budget must be >= 0, got -1"):
+        _sample_sorted(1000, -1, 0)
 
 
 MATVEC_64 = """

@@ -20,7 +20,6 @@ from cimeval.valuemodel import (
     encode_value,
     expected_moment,
     line_levels,
-    line_slices,
     slice_level,
     slice_pmf,
     switching_rate,
@@ -270,8 +269,9 @@ class SwitchingRateTests(unittest.TestCase):
         (lambda: switching_rate(delta_pmf(1), 0), "bit width must be >= 1"),
         (lambda: switching_rate(delta_pmf(-1), 4), "defined over encoded levels"),
         (
-            lambda: line_slices(
-                uniform_pmf(-2, 1), Encoding("differential", 2), SliceScheme((2, 1))
+            lambda: slice_pmf(
+                encode_pmf(uniform_pmf(-2, 1), Encoding("differential", 2))[0],
+                SliceScheme((2, 1)),
             ),
             "slice widths sum to 3, encoded width is 2",
         ),

@@ -2,6 +2,7 @@
 
 import pytest
 
+from cimeval.valuemodel import Encoding, encode_pmf
 from cimeval.workload import (
     EinsumSpec,
     WorkloadError,
@@ -190,6 +191,25 @@ def test_single_signed_bit_admits_the_antipodal_pair():
         signed={"Inputs": True, "Weights": True},
     )
     assert layer.is_signed("Inputs")
+
+
+def test_undeclared_single_signed_bit_outputs_default_to_the_antipodal_pair():
+    # the default holds exactly the values the range check admits at its
+    # ends, so XNOR, which has no level for 0, encodes it
+    layer = _layer(
+        {"Inputs": 4, "Weights": 4, "Outputs": 1},
+        {"Inputs": uniform_pmf(0, 7), "Weights": delta_pmf(3)},
+    )
+    default = layer.pmf_for("Outputs")
+    assert default == ValuePMF((-1, 1), (0.5, 0.5))
+    (line,) = encode_pmf(default, Encoding("xnor", 1))
+    assert (line.support, line.probs) == ((0, 1), (0.5, 0.5))
+    unsigned = _layer(
+        {"Inputs": 4, "Weights": 4, "Outputs": 1},
+        {"Inputs": uniform_pmf(0, 7), "Weights": delta_pmf(3)},
+        signed={"Outputs": False},
+    )
+    assert unsigned.pmf_for("Outputs") == uniform_pmf(0, 1)
 
 
 def test_missing_operand_pmf_is_an_error():
