@@ -279,7 +279,10 @@ def _objective(
 class LayerEvaluator:
     """Bundles the compiled plan and energy table for one (arch, layer), and
     owns its slot table (``table``, when given): pass ``slot_table`` to
-    check_valid and MappingSpace so that they reuse it and its rules."""
+    check_valid and MappingSpace so that they reuse it and its rules.  The
+    breakdown is laid out once: each (node, action) key in the order sorted
+    count keys reach it, with its unit energy and the count keys it sums.
+    """
 
     def __init__(
         self,
@@ -303,33 +306,45 @@ class LayerEvaluator:
             [self.table.unit(e.node, e.action) for e in self.plan.entries],
             dtype=np.float64,
         )
+        groups: dict[tuple[str, str], list[tuple[str, str, str]]] = {}
+        for key, _, _ in sorted(self.plan.count_groups):
+            groups.setdefault((key[0], key[2]), []).append(key)
+        self._breakdown = tuple(
+            (key, self.table.unit(*key), keys[0], tuple(keys[1:]))
+            for key, keys in groups.items()
+        )
 
     def bounds_of(self, mapping: Mapping) -> list[int]:
         return self.slot_table.bounds_from_mapping(mapping)
 
     def objective_value(self, bounds, objective: str) -> float:
-        if len(bounds) < len(self.slot_table):
-            raise EngineError("bounds vector shorter than the slot table")
+        if len(bounds) != len(self.slot_table):
+            side = "shorter" if len(bounds) < len(self.slot_table) else "longer"
+            raise EngineError(f"bounds vector {side} than the slot table")
         return float(_objective(self.plan, self.units, self.clock, bounds, objective))
 
     def evaluate(self, mapping: Mapping) -> EvalResult:
         counts, cycles, utilization = self.plan.evaluate(self.bounds_of(mapping))
         breakdown: dict[tuple[str, str], tuple[int, float, float]] = {}
-        for (node, _tensor, action), c in sorted(counts.items()):
-            unit = self.table.unit(node, action)
-            prev = breakdown.get((node, action), (0, unit, 0.0))
-            breakdown[(node, action)] = (prev[0] + c, unit, (prev[0] + c) * unit)
-        energy = math.fsum(e for _, _, e in breakdown.values())
+        energies = []
+        for key, unit, first, later in self._breakdown:
+            n = counts[first]
+            for k in later:
+                n += counts[k]
+            e = n * unit
+            breakdown[key] = (n, unit, e)
+            energies.append(e)
+        # positional: keywords cost a measurable share of this call
         return EvalResult(
-            layer=self.layer.name,
-            energy_j=energy,
-            cycles=cycles,
-            latency_s=cycles * self.clock,
-            utilization=utilization,
-            area_m2=self.area_m2,
-            macs=self.macs,
-            counts=counts,
-            breakdown=breakdown,
+            self.layer.name,
+            math.fsum(energies),
+            cycles,
+            cycles * self.clock,
+            utilization,
+            self.area_m2,
+            self.macs,
+            counts,
+            breakdown,
         )
 
 

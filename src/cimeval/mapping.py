@@ -111,6 +111,9 @@ class SlotTable:
     and at the mesh nodes (Containers plus the leaf) for the spatial kinds.
     Loop bounds of duplicate (node, kind, dim) loops multiply into one slot
     bound; absent slots default to bound 1 so they drop out of every product.
+    Compiled once per table: each node's slot lookup, which bounds_from_mapping
+    reads, and its canonical (slot id, dim, kind) rows, from which
+    mapping_from_bounds builds mappings that share one Loop per (slot, bound).
     """
 
     def __init__(self, arch: ArchTree, layer: WorkloadLayer):
@@ -130,26 +133,19 @@ class SlotTable:
             for kind in (LOOP_KINDS if ni in self.mesh_nodes else (TEMPORAL,))
             for dim, _ in self.dims
         )
-        # (slot id, bound) -> Loop: a Loop is immutable, so the mappings
-        # built here share one per pair
-        self._loops: dict[tuple[int, int], Loop] = {}
-        self._node_names = tuple(n.name for n in arch.nodes)
-        # (node name, kind, dim) -> slot id, the lookup a mapping loop needs
-        self._slot_of = {
-            (self._node_names[s.node], s.kind, s.dim): i
-            for i, s in enumerate(self.slots)
-        }
+        names = [n.name for n in arch.nodes]
+        # node name -> kind -> dim -> slot id, the lookup a mapping loop needs
+        self._slot_of = {name: {kind: {} for kind in LOOP_KINDS} for name in names}
+        for i, s in enumerate(self.slots):
+            self._slot_of[names[s.node]][s.kind][s.dim] = i
         # canonical loop order: per node spatialX, spatialY then temporal,
-        # dims in layer order
-        kind_rank = {SPATIAL_X: 0, SPATIAL_Y: 1, TEMPORAL: 2}
-        dim_rank = {d: i for i, (d, _) in enumerate(self.dims)}
-        self._canonical = tuple(
-            (i, self._node_names[s.node], s.dim, s.kind)
-            for i, s in sorted(
-                enumerate(self.slots),
-                key=lambda t: (t[1].node, kind_rank[t[1].kind], dim_rank[t[1].dim]),
-            )
-        )
+        # dims in layer order; each row's dict maps a bound to its Loop
+        rows: dict[str, list] = {name: [] for name in names}
+        for kind in (SPATIAL_X, SPATIAL_Y, TEMPORAL):
+            for i, s in enumerate(self.slots):
+                if s.kind == kind:
+                    rows[names[s.node]].append((i, s.dim, kind, {}))
+        self._rows = tuple((name, tuple(r)) for name, r in rows.items())
 
     def __len__(self) -> int:
         return len(self.slots)
@@ -164,12 +160,12 @@ class SlotTable:
 
     def bounds_from_mapping(self, mapping: Mapping) -> list[int]:
         bounds = [1] * len(self.slots)
-        slot_of = self._slot_of
         for node_name, loops in mapping.loops:
-            if node_name not in self.arch.node_index:
+            slot_of = self._slot_of.get(node_name)
+            if slot_of is None:
                 raise MappingError(f"mapping names unknown node {node_name!r}")
             for loop in loops:
-                sid = slot_of.get((node_name, loop.kind, loop.dim))
+                sid = slot_of[loop.kind].get(loop.dim)
                 if sid is None:
                     if all(loop.dim != d for d, _ in self.dims):
                         raise MappingError(
@@ -185,17 +181,19 @@ class SlotTable:
     def mapping_from_bounds(self, bounds: list[int]) -> Mapping:
         """Canonical mapping: per node spatialX, spatialY then temporal loops,
         dims in layer order, bound-1 loops omitted."""
-        per_node: dict[str, list[Loop]] = {}
-        loops = self._loops
-        for i, node, dim, kind in self._canonical:
-            bound = bounds[i]
-            if bound == 1:
-                continue
-            loop = loops.get((i, bound))
-            if loop is None:
-                loop = loops[i, bound] = Loop(dim, bound, kind)
-            per_node.setdefault(node, []).append(loop)
-        return Mapping(tuple((n, tuple(ls)) for n, ls in per_node.items()))
+        out = []
+        for node, rows in self._rows:
+            loops = []
+            for i, dim, kind, shared in rows:
+                bound = bounds[i]
+                if bound != 1:
+                    loop = shared.get(bound)
+                    if loop is None:
+                        loop = shared[bound] = Loop(dim, bound, kind)
+                    loops.append(loop)
+            if loops:
+                out.append((node, tuple(loops)))
+        return Mapping(tuple(out))
 
 
 @dataclass(frozen=True)
@@ -221,7 +219,8 @@ class CountPlan:
     the slots ``extra``, so ``products`` extends a product it already took.
     Counts, cycles and utilization all read that one vector; the compute
     entry spans every slot, so the occupied mesh instances are its product
-    over the cycles.
+    over the cycles.  Which entries sum into each count key is compiled
+    once (``count_groups``).
     """
 
     entries: tuple[PlanEntry, ...]
@@ -250,16 +249,28 @@ class CountPlan:
             for a, b in self.terms
         ]
 
+    @cached_property
+    def count_groups(self) -> tuple[tuple[tuple[str, str, str], int, tuple], ...]:
+        """Each (node, tensor, action) key in first-entry order, with the id
+        of that entry and the ids of the later entries that add to its count."""
+        ids: dict[tuple[str, str, str], list[int]] = {}
+        for i, e in enumerate(self.entries):
+            ids.setdefault((e.node, e.tensor, e.action), []).append(i)
+        return tuple((key, v[0], tuple(v[1:])) for key, v in ids.items())
+
     def evaluate(
         self, bounds
     ) -> tuple[dict[tuple[str, str, str], int], int, float]:
         """Counts keyed (node, tensor, action), cycles and mesh utilization
         of one mapping, all from one vector of products."""
         p = self.products(bounds)
+        c = self.entry_counts(p)
         counts: dict[tuple[str, str, str], int] = {}
-        for e, c in zip(self.entries, self.entry_counts(p)):
-            key = (e.node, e.tensor, e.action)
-            counts[key] = counts.get(key, 0) + c
+        for key, first, later in self.count_groups:
+            n = c[first]
+            for i in later:
+                n += c[i]
+            counts[key] = n
         used = p[self.all_sub] // p[self.cycles_sub]
         util = used / self.mesh_capacity if self.mesh_capacity else 1.0
         return counts, p[self.cycles_sub], util
@@ -823,12 +834,16 @@ class MapperConfig:
                 f"objective must be one of {', '.join(OBJECTIVES)}, "
                 f"got {self.objective!r}"
             )
-        if (
-            not isinstance(self.budget, int)
-            or isinstance(self.budget, bool)
-            or self.budget < 1
-        ):
-            raise MappingError(f"budget must be an integer >= 1, got {self.budget!r}")
+        _check_draw(self.budget, self.seed)
+
+
+def _check_draw(budget, seed) -> None:
+    """Refuse a budget that is not an integer >= 1, and a seed that is not
+    an integer: a None seed draws a different sample on every call."""
+    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
+        raise MappingError(f"budget must be an integer >= 1, got {budget!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise MappingError(f"seed must be an integer, got {seed!r}")
 
 
 def enumerate_mappings(
@@ -836,12 +851,19 @@ def enumerate_mappings(
     layer: WorkloadLayer,
     budget: int = 1000,
     seed: int = 0,
+    table: SlotTable | None = None,
 ):
-    """Yield (index, mapping) pairs for valid mappings, deterministically."""
-    space = MappingSpace(arch, layer)
-    for kept, cols in space.scan(space.draw_array(budget, seed)):
-        for idx, bounds in zip(kept.tolist(), cols.T.tolist()):
-            yield idx, space.table.mapping_from_bounds(bounds)
+    """(index, mapping) pairs of the valid mappings, deterministically and
+    lazily; a bad budget or seed is refused here, before any is drawn.
+    ``table`` shares a slot table the caller already built for the same
+    pair, such as a LayerEvaluator's ``slot_table``."""
+    _check_draw(budget, seed)
+    space = MappingSpace(arch, layer, table)
+    return (
+        (idx, space.table.mapping_from_bounds(bounds))
+        for kept, cols in space.scan(space.draw_array(budget, seed))
+        for idx, bounds in zip(kept.tolist(), cols.T.tolist())
+    )
 
 
 def parse_mapping(text: str) -> Mapping:

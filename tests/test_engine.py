@@ -40,7 +40,7 @@ from cimeval.valuemodel import Encoding, SliceScheme, encode_pmf, slice_pmf
 from cimeval.workload import parse_workload
 
 from conftest import fixture_path, read_fixture
-from test_mapping import ARCH_HIER, ARCH_NO_REDUCE
+from test_mapping import ARCH_HIER, ARCH_NO_REDUCE, ARCH_RULES_A, LAYER_4X4
 
 # hand-priced units for the crossbar fixture:
 #   cell compute: G 50uS * E[V^2] 0.25 * t_read 10ns
@@ -136,6 +136,12 @@ def test_short_bounds_vector_is_rejected(crossbar_arch, tiny_layer):
         ev.objective_value(short, "energy")
     with pytest.raises(EngineError, match="shorter than the slot table"):
         ev.objective_value(short, "latency")
+
+
+def test_long_bounds_vector_is_rejected(crossbar_arch, tiny_layer):
+    ev = LayerEvaluator(crossbar_arch, tiny_layer)
+    with pytest.raises(EngineError, match="longer than the slot table"):
+        ev.objective_value([1] * len(ev.slot_table) + [7, 7], "energy")
 
 
 def test_area_and_clock_attributes(crossbar_arch, tiny_layer, tiny_mapping):
@@ -1030,6 +1036,15 @@ def test_search_and_oracle_build_one_slot_table_per_layer(
     assert built["SlotTable"] == 2
 
 
+def test_library_loop_builds_one_slot_table(monkeypatch, crossbar_arch):
+    built = _count_builds(monkeypatch)
+    layer = _CONV_LAYERS["conv3x3"]
+    ev = LayerEvaluator(crossbar_arch, layer)
+    found = enumerate_mappings(crossbar_arch, layer, 200, 0, table=ev.slot_table)
+    assert [ev.evaluate(m) for _, m in found]
+    assert built["SlotTable"] == 1
+
+
 def test_nodes_share_an_encode_but_slice_per_scheme(monkeypatch):
     arch = parse_arch(
         read_fixture("arch_crossbar.yaml").replace(
@@ -1062,3 +1077,40 @@ def test_oracle_builds_each_key_set_once(monkeypatch, crossbar_arch, tiny_layer)
         keys.clear()
         oracle_evaluate(crossbar_arch, tiny_layer, mapping)
         assert len(keys) == len(set(keys)), serialize_mapping(mapping)
+
+
+# sha256 over, per enumerated mapping, evaluate's counts and breakdown
+# items in insertion order, energy_j.hex(), cycles, latency_s.hex() and
+# utilization.hex(): conv3x3, fc and tiny on the crossbar, and the 4x4
+# layer on ARCH_RULES_A
+PINNED_EVALUATE = (
+    "9b9884ffccadc4f5a6e15813474732b70e1f3e27a813804ac30265d58339d7b6"
+)
+
+
+def test_evaluate_results_are_pinned_bit_for_bit(crossbar_arch, tiny_layer):
+    cases = [
+        (crossbar_arch, _CONV_LAYERS["conv3x3"], 400),
+        (crossbar_arch, _CONV_LAYERS["fc"], 400),
+        (crossbar_arch, tiny_layer, 1000),
+        (parse_arch(ARCH_RULES_A), parse_workload(LAYER_4X4)[0], 1000),
+    ]
+    h = hashlib.sha256()
+    priced = 0
+    for arch, layer, budget in cases:
+        ev = LayerEvaluator(arch, layer)
+        for idx, mapping in enumerate_mappings(arch, layer, budget, seed=5):
+            r = ev.evaluate(mapping)
+            pinned = (
+                idx,
+                list(r.counts.items()),
+                list(r.breakdown.items()),
+                r.energy_j.hex(),
+                r.cycles,
+                r.latency_s.hex(),
+                r.utilization.hex(),
+            )
+            h.update(repr(pinned).encode())
+            priced += 1
+    assert priced > 200
+    assert h.hexdigest() == PINNED_EVALUATE

@@ -994,3 +994,15 @@ def test_mapper_config_rejects_an_unknown_objective_and_a_bool_budget():
     for budget in (True, False, 0, -3, 2.0, "10"):
         with pytest.raises(MappingError, match="budget must be an integer"):
             MapperConfig(budget=budget)
+
+
+def test_draws_refuse_a_seed_or_budget_that_is_not_an_integer(crossbar_arch, tiny_layer):
+    for seed in (None, 2.5, 3.0, True, "3"):
+        with pytest.raises(MappingError, match="seed must be an integer"):
+            MapperConfig(seed=seed)
+        # refused at the call, before anything is drawn
+        with pytest.raises(MappingError, match="seed must be an integer"):
+            enumerate_mappings(crossbar_arch, tiny_layer, seed=seed)
+    for budget in (2.5, "10", True, False, 0, -3):
+        with pytest.raises(MappingError, match="budget must be an integer"):
+            enumerate_mappings(crossbar_arch, tiny_layer, budget=budget)
