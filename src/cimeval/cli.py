@@ -40,7 +40,6 @@ from .engine import (
     DATAPATH_ATTRS,
     EngineError,
     LayerEvaluator,
-    evaluate as engine_evaluate,
     oracle_evaluate,
     search as engine_search,
 )
@@ -196,21 +195,26 @@ def _load(args, one: str | None = None):
     return arch, layers[0] if one else layers
 
 
-def _cmd_evaluate(args) -> int:
-    arch, layer = _load(args, "evaluate")
+def _load_checked(args, command: str):
+    """_load's one layer and --mapping, checked before anything is priced:
+    (mapping, diagnostics, an evaluator on the check's slot table)."""
+    arch, layer = _load(args, command)
     mapping = _load_mapping(args.mapping)
-    # check the mapping before pricing, on the slot table the evaluator reuses
     table = SlotTable(arch, layer)
     diag = check_valid(arch, layer, mapping, table)
     if not diag.ok:
         raise _CliError("invalid mapping: " + "; ".join(diag.errors))
-    evaluator = LayerEvaluator(arch, layer, table=table)
+    return mapping, diag, LayerEvaluator(arch, layer, table=table)
+
+
+def _cmd_evaluate(args) -> int:
+    mapping, diag, evaluator = _load_checked(args, "evaluate")
     res = evaluator.evaluate(mapping)
     _emit_report(
         args,
         "evaluate",
         ("arch", "workload", "mapping"),
-        layer=layer.name,
+        layer=evaluator.layer.name,
         mapping=mapping.to_doc(),
         metrics=_metrics_doc(res),
         counts=_counts_doc(res.counts),
@@ -382,10 +386,10 @@ def _cmd_oracle_compare(args) -> int:
     tol = args.energy_tol
     if tol is not None and not (math.isfinite(tol) and tol >= 0):
         raise _CliError(f"--energy-tol must be a finite number >= 0, got {tol!r}")
-    arch, layer = _load(args, "oracle-compare")
-    mapping = _load_mapping(args.mapping)
-    res = engine_evaluate(arch, layer, mapping)
-    oracle = oracle_evaluate(arch, layer, mapping, seed=args.seed)
+    mapping, _, evaluator = _load_checked(args, "oracle-compare")
+    layer = evaluator.layer
+    res = evaluator.evaluate(mapping)
+    oracle = oracle_evaluate(evaluator.arch, layer, mapping, seed=args.seed)
 
     keys = sorted(set(res.counts) | set(oracle.counts))
     mismatches = []

@@ -186,32 +186,43 @@ class EnergyTable:
             ) from None
 
 
+def _pricer(arch: ArchTree, layer: WorkloadLayer, registry: ModelRegistry | None):
+    """The one pricing path of the energy table and the oracle: model(name)
+    is a component's (registry model, action context), built once, the
+    contexts sharing one ``stats`` dict; unit(name, action) its average."""
+    stats: dict = {}  # the operand statistics the nodes' contexts share
+    models: dict[str, tuple[ComponentModel, ActionContext]] = {}
+
+    def model(name: str) -> tuple[ComponentModel, ActionContext]:
+        if name not in models:
+            node = arch.node(name)
+            if node.kind != "component":
+                raise EngineError(
+                    f"container {node.name!r} carries reuse actions; give it a "
+                    "Component with a model class"
+                )
+            ctx = build_action_context(node, layer, stats)
+            models[name] = ((registry or DEFAULT_REGISTRY).get(node.klass), ctx)
+        return models[name]
+
+    def unit(name: str, action: str) -> float:
+        m, ctx = model(name)
+        return float(m.energy_per_action(action, ctx))
+
+    return model, unit
+
+
 def precompute_energy_table(
     arch: ArchTree,
     layer: WorkloadLayer,
     registry: ModelRegistry | None = None,
     plan: CountPlan | None = None,
 ) -> EnergyTable:
-    registry = registry or DEFAULT_REGISTRY
     if plan is None:
         _, plan = build_count_plan(arch, layer)
-    contexts: dict[str, ActionContext] = {}
-    stats: dict = {}  # the operand statistics the nodes' contexts share
-    entries: dict[tuple[str, str], float] = {}
-    for e in plan.entries:
-        key = (e.node, e.action)
-        if key in entries:
-            continue
-        node = arch.node(e.node)
-        if node.kind != "component":
-            raise EngineError(
-                f"container {node.name!r} carries reuse actions; give it a "
-                "Component with a model class"
-            )
-        if node.name not in contexts:
-            contexts[node.name] = build_action_context(node, layer, stats)
-        model = registry.get(node.klass)
-        entries[key] = float(model.energy_per_action(e.action, contexts[node.name]))
+    _, unit = _pricer(arch, layer, registry)
+    keys = dict.fromkeys((e.node, e.action) for e in plan.entries)
+    entries = {key: unit(*key) for key in keys}
     h = hashlib.sha256(layer.name.encode())
     for (node, action), e in sorted(entries.items()):
         h.update(f"{node}|{action}|{e!r}\n".encode())
@@ -478,9 +489,9 @@ def oracle_evaluate(
     per stage (the cell and DAC find the distinct values by a bincount over
     the value span, or np.unique when the span is wider than the events),
     and each stage's prices are summed with math.fsum, which rounds the
-    exact sum once.
+    exact sum once.  Other stages price at the average through the energy
+    table's own _pricer; the oracle reads no CountPlan or EnergyTable.
     """
-    registry = registry or DEFAULT_REGISTRY
     table = SlotTable(arch, layer)
     diag = check_valid(arch, layer, mapping, table)
     if not diag.ok:
@@ -502,14 +513,7 @@ def oracle_evaluate(
     nodes = arch.nodes
     leaf_i = len(nodes) - 1
 
-    contexts = {n.name: build_action_context(n, layer) for n in arch.components()}
-    models: dict[str, ComponentModel] = {
-        n.name: registry.get(n.klass) for n in arch.components()
-    }
-
-    def unit_energy(node_name: str, action: str) -> float:
-        return float(models[node_name].energy_per_action(action, contexts[node_name]))
-
+    model, unit = _pricer(arch, layer, registry)
     tensors = draw_tensors(layer, seed)
     role_dims = {r: layer.einsum.projection(r) for r in ROLES}
     sizes = layer.einsum.dim_sizes
@@ -564,37 +568,31 @@ def oracle_evaluate(
             weight.update((sid, step * stride) for sid, step in fold.items())
         return np.ravel(tensors[role])[linear(weight)]
 
-    leaf = nodes[leaf_i]
-    leaf_model = models[leaf.name]
-    leaf_ctx = contexts[leaf.name]
     operands = {"Inputs": point_values("Inputs"), "Weights": point_values("Weights")}
-    counts: dict[tuple[str, str, str], int] = {
-        (leaf.name, COMPUTE_TENSOR, "compute"): n_points
-    }
-    # every point computes once, on its own operand pair
-    if leaf_model.value_dependent_on:
-        energy_terms = [
-            math.fsum(leaf_model.oracle_energy("compute", leaf_ctx, operands).tolist())
-        ]
-    else:
-        energy_terms = [n_points * unit_energy(leaf.name, "compute")]
+    counts: dict[tuple[str, str, str], int] = {}
 
-    def price(t: int, role: str, action: str, ids, per_value: bool = True) -> None:
-        """Count node t's (role, action) events, one per distinct key over
-        `ids`, and price them."""
-        name = nodes[t].name
-        model = models[name]
-        first = first_events(ids)
-        counts[(name, role, action)] = len(first)
-        # a role with no drawn operands (Outputs) prices at the average:
-        # n * p is the correctly rounded sum of n copies of p
-        if per_value and role in model.value_dependent_on and role in operands:
-            prices = model.oracle_energy(
-                action, contexts[name], {role: operands[role][first]}
-            )
-            energy_terms.append(math.fsum(prices.tolist()))
-        else:
-            energy_terms.append(len(first) * unit_energy(name, action))
+    def stage(name: str, tensor: str, action: str, n: int, values=None) -> float:
+        """Count n (tensor, action) events at node `name` and price them:
+        each on its own operands when `values` holds them, else at the
+        average, where n * p is the correctly rounded sum of n copies of p."""
+        counts[(name, tensor, action)] = n
+        if values is None:
+            return n * unit(name, action)
+        m, ctx = model(name)
+        return math.fsum(m.oracle_energy(action, ctx, values).tolist())
+
+    def events(t: int, role: str, action: str, ids) -> float:
+        """Node t's (role, action) stage, one event per distinct key over
+        `ids`; a role with no drawn operands (Outputs) prices at the average."""
+        name, first = nodes[t].name, first_events(ids)
+        drawn = role in model(name)[0].value_dependent_on and role in operands
+        values = {role: operands[role][first]} if drawn else None
+        return stage(name, role, action, len(first), values)
+
+    # every point computes once, on its own operand pair
+    leaf = nodes[leaf_i].name
+    pairs = operands if model(leaf)[0].value_dependent_on else None
+    energy_terms = [stage(leaf, COMPUTE_TENSOR, "compute", n_points, pairs)]
 
     spatial = frozenset(sid for sid in nest_ids if slots[sid].kind != TEMPORAL)
     for role in ROLES:
@@ -616,28 +614,28 @@ def oracle_evaluate(
                 }
             d = nodes[t].directive(role)
             if d == NO_COALESCE:
-                price(t, role, "convert", demand)
+                energy_terms.append(events(t, role, "convert", demand))
             elif d == COALESCE:
-                price(t, role, "compute", demand)
+                energy_terms.append(events(t, role, "compute", demand))
                 demand = tile_ids(t) if role == "Outputs" else tile_ids(t) | rel
             elif d == TEMPORAL_REUSE:
+                name = nodes[t].name
                 if role == "Outputs":
                     # a first in-tile event writes when its output has not
                     # been written before and updates otherwise
-                    name = nodes[t].name
                     writes = len(first_events(demand & rel))
                     updates = len(first_events(demand)) - writes
-                    counts[(name, role, "write")] = writes
-                    counts[(name, role, "update")] = updates
                     energy_terms.append(
-                        writes * unit_energy(name, "write")
-                        + updates * unit_energy(name, "update")
+                        stage(name, role, "write", writes)
+                        + stage(name, role, "update", updates)
                     )
                 else:
                     # the leaf's compute reads its own tile
                     if t < leaf_i:
-                        price(t, role, "read", demand)
-                    price(t, role, "fill", tile_ids(t), per_value=False)
+                        energy_terms.append(events(t, role, "read", demand))
+                    # a fill prices at the average, n * p
+                    n = len(first_events(tile_ids(t)))
+                    energy_terms.append(stage(name, role, "fill", n))
                 demand = tile_ids(t)
 
     temporal_ids = frozenset(sid for sid in nest_ids if slots[sid].kind == TEMPORAL)

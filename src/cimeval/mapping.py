@@ -196,6 +196,16 @@ class SlotTable:
         return Mapping(tuple(out))
 
 
+def _slot_table(arch: ArchTree, layer: WorkloadLayer, table) -> SlotTable:
+    """``table`` when it was built for this (arch, layer), or a new one."""
+    if table is None:
+        return SlotTable(arch, layer)
+    for built, given in ((table.arch, arch), (table.layer, layer)):
+        if built is not given and built != given:
+            raise MappingError("slot table was built for another arch or layer")
+    return table
+
+
 @dataclass(frozen=True)
 class PlanEntry:
     """count = prod(bounds[i] for i in idx_a), minus the same over idx_b
@@ -346,7 +356,7 @@ def build_count_plan(
     arch: ArchTree, layer: WorkloadLayer, table: SlotTable | None = None
 ) -> tuple[SlotTable, CountPlan]:
     """The slot table (``table``, or one built here) and its count plan."""
-    table = SlotTable(arch, layer) if table is None else table
+    table = _slot_table(arch, layer, table)
     entries: list[PlanEntry] = []
     all_idx = tuple(range(len(table.slots)))
     entries.append(
@@ -527,11 +537,11 @@ def check_valid(
     warning, since the counting model then prices the padded iteration
     space honestly.  Pass the slot table the caller already holds (a
     LayerEvaluator's ``slot_table`` or a MappingSpace's ``table``) to reuse
-    it and its compiled rules; without one a table is built here.
+    it and its compiled rules; without one a table is built here, and one
+    built for another (arch, layer) is refused with MappingError.
     """
     diag = Diagnostics()
-    if table is None:
-        table = SlotTable(arch, layer)
+    table = _slot_table(arch, layer, table)
     try:
         bounds = table.bounds_from_mapping(mapping)
     except MappingError as e:
@@ -642,7 +652,8 @@ class MappingSpace:
     per-dim tables, so the space supports exhaustive iteration and seeded
     uniform sampling without replacement.  ``table`` shares a slot table
     (and its compiled rules) the caller already built for the same pair,
-    as search shares its LayerEvaluator's.
+    as search shares its LayerEvaluator's; one built for another pair is
+    refused.
     """
 
     MAX_PER_DIM = 2_000_000
@@ -650,7 +661,7 @@ class MappingSpace:
     def __init__(
         self, arch: ArchTree, layer: WorkloadLayer, table: SlotTable | None = None
     ):
-        self.table = SlotTable(arch, layer) if table is None else table
+        self.table = _slot_table(arch, layer, table)
         rules = self.table._rules
         # the rules that bind one dim prune its factorizations: a mesh axis
         # caps each of its slots, a spatial_dims rule fixes its slot at 1,
@@ -717,15 +728,19 @@ class MappingSpace:
             ok = ok & (value >= r.lo) & (value <= r.hi)
         return ok
 
-    def bounds_at(self, index: int) -> list[int]:
-        bounds = [1] * len(self.table.slots)
-        rem = index
+    def _decode(self, idx: np.ndarray, cols: np.ndarray) -> None:
+        """Write each index's bounds into its column of ``cols``, the last
+        dim's digit fastest; slots no dim varies are left as they are."""
+        rem = idx
         for (dim, _), radix in zip(reversed(self.table.dims), reversed(self.radices)):
-            rem, chosen = divmod(rem, radix)
-            fac = self.dim_choices[dim][chosen].tolist()
-            for sid, b in zip(self.dim_slots[dim], fac):
-                bounds[sid] = b
-        return bounds
+            chosen = (rem % radix).astype(np.intp, copy=False)
+            rem = rem // radix
+            cols[self.dim_slots[dim]] = self.dim_choices[dim].take(chosen, 0).T
+
+    def bounds_at(self, index: int) -> list[int]:
+        cols = np.ones((len(self.table), 1), self._dtype)
+        self._decode(np.array([index], _index_dtype(self.total)), cols)
+        return cols[:, 0].tolist()
 
     def scan(self, indices):
         """Yield, per block of SCAN_BLOCK indices, the ones bounds_ok accepts
@@ -733,18 +748,13 @@ class MappingSpace:
         slot s's bound of each.  Indices decode as in bounds_at; an array
         from draw_array is scanned as it is, with no conversion."""
         indices = np.asarray(indices, _index_dtype(self.total))
-        digits = list(zip(self.table.dims, self.radices))[::-1]
         # every block decodes into one buffer (slots no dim varies stay 1):
         # what is yielded is a copy taken from it
         buf = np.ones((len(self.table), min(len(indices), SCAN_BLOCK)), self._dtype)
         for start in range(0, len(indices), SCAN_BLOCK):
             idx = indices[start : start + SCAN_BLOCK]
             cols = buf[:, : len(idx)]
-            rem = idx
-            for (dim, _), radix in digits:
-                chosen = (rem % radix).astype(np.intp, copy=False)
-                rem = rem // radix
-                cols[self.dim_slots[dim]] = self.dim_choices[dim].take(chosen, 0).T
+            self._decode(idx, cols)
             keep = np.flatnonzero(np.ones(len(idx), bool) & self.bounds_ok(cols))
             yield idx.take(keep), cols.take(keep, 1)
 

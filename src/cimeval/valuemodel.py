@@ -161,14 +161,10 @@ def slice_pmf(encoded: EncodedPMF, scheme: SliceScheme) -> list[ValuePMF]:
         )
     if len(scheme.widths) == 1:  # the one slice is the whole level
         return [ValuePMF(encoded.support, encoded.probs)]
-    out = []
-    for column in zip(*[slice_level(level, scheme) for level in encoded.support]):
-        acc: dict[int, float] = {}
-        for s, p in zip(column, encoded.probs):
-            acc[s] = acc.get(s, 0.0) + p
-        support = tuple(sorted(acc))
-        out.append(ValuePMF(support, tuple(acc[v] for v in support)))
-    return out
+    return [
+        ValuePMF(*_merge(zip(column, encoded.probs)))
+        for column in zip(*[slice_level(level, scheme) for level in encoded.support])
+    ]
 
 
 @dataclass(frozen=True)

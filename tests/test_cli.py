@@ -768,6 +768,39 @@ def test_oracle_compare_rejects_padded_mapping(tmp_path, capsys):
     assert "exact tiling" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "case, line",
+    [
+        ("unknown_node", "error: invalid mapping: mapping names unknown node 'nonesuch'"),
+        (
+            "accum_reuse_under_k",
+            "error: invalid mapping: dim 'K': loop bounds cover 1 of 2 iterations",
+        ),
+    ],
+)
+def test_evaluate_and_oracle_compare_check_the_mapping_before_pricing(
+    tmp_path, capsys, case, line
+):
+    arch, mapping = tmp_path / "arch.yaml", tmp_path / "mapping.yaml"
+    text = read_fixture("arch_crossbar.yaml")
+    if case == "unknown_node":
+        arch.write_text(text)
+        mapping.write_text("nodes:\n  nonesuch:\n    - {dim: M, bound: 2}\n")
+    else:
+        # the adder cannot price the write its temporal_reuse asks for, and
+        # the mapping drops K: the mapping is reported, not the arch
+        arch.write_text(
+            text.replace("\ncoalesce: [Outputs]\n", "\ntemporal_reuse: [Outputs]\n")
+        )
+        kept = read_fixture("mapping_tiny.yaml").splitlines(keepends=True)
+        mapping.write_text("".join(l for l in kept if "dim: K" not in l))
+    args = ["--arch", str(arch), "--workload", WORKLOAD, "--mapping", str(mapping)]
+    for command in ("evaluate", "oracle-compare"):
+        assert main([command] + args) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", line + "\n"), command
+
+
 def test_sweep_param_names_must_be_read(capsys):
     argv = ["sweep", "--arch", ARCH, "--workload", CONV_WORKLOAD, "--layer", "fc"]
     argv += ["--budget", "20"]

@@ -179,6 +179,39 @@ attributes: {e_mac: 0.0}
         precompute_energy_table(bad, layer)
 
 
+def test_oracle_refuses_a_container_directive_as_the_table_does():
+    arch = parse_arch(
+        """
+--- !Component
+name: dram
+class: buffer
+temporal_reuse: [Inputs, Weights, Outputs]
+attributes: {e_per_bit: 0.0, width: 8}
+--- !Container
+name: tile
+coalesce: [Weights]
+--- !Component
+name: pe
+class: sram_cell
+attributes: {e_mac: 0.0}
+"""
+    )
+    layer = parse_workload(DELTA_TINY)[0]
+    mapping = parse_mapping(
+        "nodes:\n  pe:\n    - {dim: M, bound: 2}\n    - {dim: K, bound: 2}\n"
+    )
+    message = (
+        "container 'tile' carries reuse actions; give it a Component with a "
+        "model class"
+    )
+    with pytest.raises(EngineError) as table_error:
+        LayerEvaluator(arch, layer)
+    assert str(table_error.value) == message
+    with pytest.raises(EngineError) as oracle_error:
+        oracle_evaluate(arch, layer, mapping)
+    assert str(oracle_error.value) == message
+
+
 def test_slice_and_encoding_attributes_shape_the_context(tiny_layer):
     node = parse_arch(
         """

@@ -1006,3 +1006,30 @@ def test_draws_refuse_a_seed_or_budget_that_is_not_an_integer(crossbar_arch, tin
     for budget in (2.5, "10", True, False, 0, -3):
         with pytest.raises(MappingError, match="budget must be an integer"):
             enumerate_mappings(crossbar_arch, tiny_layer, budget=budget)
+
+
+def test_a_slot_table_built_for_another_pair_is_refused(
+    crossbar_arch, tiny_layer, tiny_mapping
+):
+    big = parse_workload(read_fixture("workload_tiny.yaml").replace("M: 2", "M: 8"))[0]
+    wide = parse_arch(read_fixture("arch_crossbar.yaml").replace("meshX: 2", "meshX: 4"))
+    consumers = {
+        "check_valid": lambda a, l, t: check_valid(a, l, tiny_mapping, t),
+        "MappingSpace": MappingSpace,
+        "enumerate_mappings": lambda a, l, t: enumerate_mappings(a, l, table=t),
+        "build_count_plan": build_count_plan,
+        "LayerEvaluator": lambda a, l, t: LayerEvaluator(a, l, table=t),
+    }
+    tiny_table = SlotTable(crossbar_arch, tiny_layer)
+    for name, consume in consumers.items():
+        for arch, layer in ((crossbar_arch, big), (wide, tiny_layer)):
+            with pytest.raises(MappingError, match="another arch or layer"):
+                consume(arch, layer, tiny_table)
+        # equal inputs parsed again share the table
+        consume(
+            parse_arch(read_fixture("arch_crossbar.yaml")),
+            parse_workload(read_fixture("workload_tiny.yaml"))[0],
+            tiny_table,
+        )
+    assert MappingSpace(crossbar_arch, big).total == 490
+    assert not check_valid(crossbar_arch, big, tiny_mapping).ok
