@@ -172,16 +172,6 @@ def _emit_report(args, command: str, inputs, **fields) -> None:
     _write(text, args.out)
 
 
-def _check_arch(arch: ArchTree, layers, failed: str) -> None:
-    """Check the arch on its own, then against each layer; the first
-    failing check raises, prefixed by ``failed``."""
-    errors = validate(arch)
-    for layer in layers:
-        errors = errors or validate(arch, layer)
-    if errors:
-        raise _CliError(f"{failed}: " + "; ".join(errors))
-
-
 def _load(args, one: str | None = None):
     """Parse --arch and --workload and check the arch against each layer
     --layer selects.  Returns (arch, layers), or with ``one`` (the
@@ -191,7 +181,12 @@ def _load(args, one: str | None = None):
     if one is not None and len(layers) != 1:
         names = ", ".join(l.name for l in layers)
         raise _CliError(f"{one} needs --layer to pick one of: {names}")
-    _check_arch(arch, layers, "architecture validation failed")
+    # the arch on its own, then against each layer: the first failing check
+    errors = validate(arch)
+    for layer in layers:
+        errors = errors or validate(arch, layer)
+    if errors:
+        raise _CliError("architecture validation failed: " + "; ".join(errors))
     return arch, layers[0] if one else layers
 
 
@@ -355,7 +350,6 @@ def _cmd_sweep(args) -> int:
         point = arch
         for path, values in params:
             point = _apply_param(point, path, values[k])
-        _check_arch(point, layers, f"sweep point {k} invalid")
         for layer in layers:
             found = engine_search(point, layer, config)
             if found is None:
@@ -433,30 +427,29 @@ def _cmd_oracle_compare(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    problems: list[str] = []
-    warnings: list[str] = []
+    for flag in ("mapping", "layer"):
+        if getattr(args, flag) and not args.workload:
+            raise _CliError(f"validating with --{flag} needs --workload")
     arch = parse_arch(_read(args.arch, "arch"))
     layers = _load_layers(args.workload, args.layer) if args.workload else []
-    tables = [SlotTable(arch, layer) for layer in layers]
-    for layer, table in zip(layers, tables):
+    mapping = _load_mapping(args.mapping) if args.mapping else None
+    problems = validate(arch)
+    warnings: list[str] = []
+    # each layer in evaluate's order, once the arch passes on its own
+    for layer in [] if problems else layers:
         errors = validate(arch, layer)
         if not errors:
+            table = SlotTable(arch, layer)
+            if mapping is not None:
+                diag = check_valid(arch, layer, mapping, table)
+                errors = diag.errors
+                warnings += [f"[{layer.name}] {w}" for w in diag.warnings]
             # build what evaluate builds: the count plan, energy table, area
             try:
                 LayerEvaluator(arch, layer, table=table)
             except _INPUT_ERRORS as e:
-                errors = [str(e)]
+                errors = [*errors, str(e)]
         problems += [f"[{layer.name}] {e}" for e in errors]
-    if not layers:
-        problems += validate(arch)
-    if args.mapping:
-        if not layers:
-            raise _CliError("validating a mapping needs --workload")
-        mapping = _load_mapping(args.mapping)
-        for layer, table in zip(layers, tables):
-            diag = check_valid(arch, layer, mapping, table)
-            problems += [f"[{layer.name}] {e}" for e in diag.errors]
-            warnings += [f"[{layer.name}] {w}" for w in diag.warnings]
     for w in warnings:
         sys.stdout.write(f"warning: {w}\n")
     if problems:

@@ -147,7 +147,8 @@ def dac_convert_energy(ctx: ActionContext) -> float:
 
 
 def _adc_levels(attributes: dict, node: str) -> int:
-    """2^resolution, for an integer resolution in [1, MAX_BITS]."""
+    """2^resolution, for an integer resolution in [1, MAX_BITS] and a
+    positive sample_rate where one is given."""
     if "resolution" not in attributes:
         raise ComponentError(f"node {node!r}: missing required attribute 'resolution'")
     bits = as_integer(attributes["resolution"])
@@ -156,6 +157,8 @@ def _adc_levels(attributes: dict, node: str) -> int:
             f"node {node!r}: ADC resolution must be a positive integer of at "
             f"most {MAX_BITS} bits, got {attributes['resolution']!r}"
         )
+    if "sample_rate" in attributes and float(attributes["sample_rate"]) <= 0:
+        raise ComponentError(f"node {node!r}: sample_rate must be positive")
     return 1 << bits
 
 
@@ -169,8 +172,6 @@ def adc_area(attributes: dict, node: str = "adc") -> float:
     """ADC area: a0 + a1 * 2^resolution + a2 * sample_rate."""
     levels = _adc_levels(attributes, node)
     f_s = float(attributes.get("sample_rate", 0.0))
-    if "sample_rate" in attributes and f_s <= 0:
-        raise ComponentError(f"node {node!r}: sample_rate must be positive")
     a0 = float(attributes.get("adc_a0", DEFAULT_ADC_A0))
     a1 = float(attributes.get("adc_a1", DEFAULT_ADC_A1))
     a2 = float(attributes.get("adc_a2", DEFAULT_ADC_A2))

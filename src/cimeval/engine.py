@@ -259,34 +259,6 @@ class EvalResult:
         return self.energy_j * self.latency_s
 
 
-def _objective(
-    plan: CountPlan, units: np.ndarray, clock: float, bounds, objective: str
-):
-    """Search objective of one mapping's bounds, or an array of it over a
-    block's bounds columns (as MappingSpace.scan yields them).
-
-    Energy adds float64(count) * unit left to right in plan-entry order, on
-    Python ints and floats for one mapping and column-wise on int64 (or
-    Python-int object) columns for a block: the same roundings in the same
-    order, so a mapping's energy is the same float alone or in a block, on
-    any BLAS build (a BLAS dot may reorder or fuse its additions).
-    """
-    p = plan.products(bounds)
-    energy = 0.0
-    for c, u in zip(plan.entry_counts(p), units.tolist()):
-        energy = energy + c * u
-    if isinstance(bounds, np.ndarray):
-        energy = np.asarray(energy, np.float64)
-    if objective == "energy":
-        return energy
-    latency = np.asarray(p[plan.cycles_sub], np.float64) * clock
-    if objective == "latency":
-        return latency
-    if objective == "edp":
-        return energy * latency
-    raise EngineError(f"unknown objective {objective!r}")
-
-
 class LayerEvaluator:
     """Bundles the compiled plan and energy table for one (arch, layer), and
     owns its slot table (``table``, when given): pass ``slot_table`` to
@@ -328,11 +300,36 @@ class LayerEvaluator:
     def bounds_of(self, mapping: Mapping) -> list[int]:
         return self.slot_table.bounds_from_mapping(mapping)
 
-    def objective_value(self, bounds, objective: str) -> float:
+    def objective_value(self, bounds, objective: str):
+        """Search objective of one mapping's bounds, as a float, or an array
+        of it over a block's bounds columns (as MappingSpace.scan yields them).
+
+        Energy adds float64(count) * unit left to right in plan-entry order, on
+        Python ints and floats for one mapping and column-wise on int64 (or
+        Python-int object) columns for a block: the same roundings in the same
+        order, so a mapping's energy is the same float alone or in a block, on
+        any BLAS build (a BLAS dot may reorder or fuse its additions).
+        """
         if len(bounds) != len(self.slot_table):
             side = "shorter" if len(bounds) < len(self.slot_table) else "longer"
             raise EngineError(f"bounds vector {side} than the slot table")
-        return float(_objective(self.plan, self.units, self.clock, bounds, objective))
+        plan = self.plan
+        p = plan.products(bounds)
+        energy = 0.0
+        for c, u in zip(plan.entry_counts(p), self.units.tolist()):
+            energy = energy + c * u
+        block = isinstance(bounds, np.ndarray)
+        if block:
+            energy = np.asarray(energy, np.float64)
+        if objective == "energy":
+            value = energy
+        elif objective in ("latency", "edp"):
+            value = np.asarray(p[plan.cycles_sub], np.float64) * self.clock
+            if objective == "edp":
+                value = energy * value
+        else:
+            raise EngineError(f"unknown objective {objective!r}")
+        return value if block else float(value)
 
     def evaluate(self, mapping: Mapping) -> EvalResult:
         counts, cycles, utilization = self.plan.evaluate(self.bounds_of(mapping))
@@ -400,16 +397,14 @@ def search(
         if not len(kept):
             continue
         valid += len(kept)
-        vals = _objective(
-            evaluator.plan, evaluator.units, evaluator.clock, cols, config.objective
-        )
+        vals = evaluator.objective_value(cols, config.objective)
         k = int(np.argmin(vals))
         if best is None or vals[k] < best[0]:
-            best = (vals[k], int(kept[k]))
+            best = (vals[k], int(kept[k]), cols[:, k])
     if best is None:
         return None
-    _, best_idx = best
-    mapping = space.mapping_at(best_idx)
+    _, best_idx, column = best
+    mapping = evaluator.slot_table.mapping_from_bounds(column.tolist())
     return SearchResult(
         layer=layer.name,
         index=best_idx,

@@ -428,6 +428,53 @@ def test_validate_mapping_needs_workload(capsys):
     assert "needs --workload" in capsys.readouterr().err
 
 
+def test_validate_layer_needs_workload(capsys):
+    assert main(["validate", "--arch", ARCH, "--layer", "nope"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: validating with --layer needs --workload\n"
+
+
+def test_validate_prints_an_arch_problem_once_and_checks_no_layer(tmp_path, capsys):
+    base = read_fixture("arch_crossbar.yaml")
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(
+        base[: base.index("--- !Component\nname: cell")]
+        + "--- !Container\nname: grid\nspatial: {meshX: 2}\n"
+    )
+    assert main(["validate", "--arch", str(bad), "--workload", CONV_WORKLOAD]) == 2
+    out = capsys.readouterr().out
+    assert out == (
+        "error: compute leaf absent: the innermost node must be a Component\n"
+    )
+
+
+def test_validate_checks_no_mapping_on_a_layer_the_arch_fails(tmp_path, capsys):
+    arch = tmp_path / "arch.yaml"
+    cell = "name: cell\nclass: reram_cell\n"
+    arch.write_text(
+        read_fixture("arch_crossbar.yaml").replace(
+            cell, cell + "constraints: {keep_dims: [Z]}\n"
+        )
+    )
+    argv = ["validate", "--arch", str(arch), "--workload", WORKLOAD]
+    assert main(argv + ["--mapping", MAPPING]) == 2
+    out = capsys.readouterr().out
+    assert out == "error: [tiny] node 'cell': constraints name unknown dims ['Z']\n"
+
+
+def test_a_bad_adc_sample_rate_names_the_adc_node(tmp_path, capsys):
+    arch = tmp_path / "arch.yaml"
+    arch.write_text(
+        read_fixture("arch_crossbar.yaml")
+        .replace("name: adc\n", "name: col_adc\n")
+        .replace("resolution: 8", "resolution: 8\n  sample_rate: -1")
+    )
+    argv = ["--arch", str(arch), "--workload", WORKLOAD]
+    assert main(["evaluate", *argv, "--mapping", MAPPING]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: node 'col_adc': sample_rate must be positive\n"
+
+
 def test_validate_prints_padding_warning(tmp_path, capsys):
     padded = tmp_path / "padded.yaml"
     padded.write_text(PADDED_MAPPING)
@@ -569,6 +616,15 @@ def test_sweep_checks_the_arch_against_each_layer_as_search_does(
     err = capsys.readouterr().err
     assert err.startswith("error: architecture validation failed")
     assert "unknown dims ['Z']" in err
+
+
+def test_sweep_checks_the_arch_once(monkeypatch, capsys):
+    real, calls = cli.validate, []
+    monkeypatch.setattr(cli, "validate", lambda *a: calls.append(a) or real(*a))
+    argv = ["sweep", "--arch", ARCH, "--workload", WORKLOAD]
+    assert main(argv + ["--param", "cell.t_read=10.0e-9,20.0e-9"]) == 0
+    # the arch on its own, then against the one layer
+    assert len(calls) == 2
 
 
 def test_sweep_csv_schema_and_energies(tmp_path):

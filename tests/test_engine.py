@@ -31,6 +31,7 @@ from cimeval.mapping import (
     Mapping,
     MapperConfig,
     MappingError,
+    MappingSpace,
     SlotTable,
     enumerate_mappings,
     parse_mapping,
@@ -40,7 +41,7 @@ from cimeval.valuemodel import Encoding, SliceScheme, encode_pmf, slice_pmf
 from cimeval.workload import parse_workload
 
 from conftest import fixture_path, read_fixture
-from test_mapping import ARCH_HIER, ARCH_NO_REDUCE, ARCH_RULES_A, LAYER_4X4
+from test_mapping import ARCH_HIER, ARCH_NO_REDUCE, ARCH_RULES_A, LAYER_4X4, PRIMES
 
 # hand-priced units for the crossbar fixture:
 #   cell compute: G 50uS * E[V^2] 0.25 * t_read 10ns
@@ -1076,6 +1077,27 @@ def test_library_loop_builds_one_slot_table(monkeypatch, crossbar_arch):
     found = enumerate_mappings(crossbar_arch, layer, 200, 0, table=ev.slot_table)
     assert [ev.evaluate(m) for _, m in found]
     assert built["SlotTable"] == 1
+
+
+@pytest.mark.parametrize("case", ["conv3x3", "primes"])
+def test_search_builds_its_winner_from_the_scanned_column(
+    monkeypatch, crossbar_arch, case
+):
+    # the primes layer scans in Python-int object columns
+    layer = _CONV_LAYERS.get(case) or parse_workload(PRIMES)[0]
+    decoded = []
+    for name in ("mapping_at", "bounds_at"):
+        real = getattr(MappingSpace, name)
+
+        def counting(self, index, name=name, real=real):
+            decoded.append(name)
+            return real(self, index)
+
+        monkeypatch.setattr(MappingSpace, name, counting)
+    found = search(crossbar_arch, layer, MapperConfig(budget=2000, seed=1))
+    assert decoded == []
+    space = MappingSpace(crossbar_arch, layer)
+    assert found.mapping == space.mapping_at(found.index)
 
 
 def test_nodes_share_an_encode_but_slice_per_scheme(monkeypatch):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import cimeval
 from cimeval.archspec import parse_arch
-from cimeval.engine import LayerEvaluator, _objective, search
+from cimeval.engine import LayerEvaluator, search
 from cimeval.mapping import (
     OBJECTIVES,
     SCAN_BLOCK,
@@ -868,7 +868,7 @@ def test_block_scan_agrees_with_scalar_path(case):
             v
             for _, cols in blocks
             if cols.shape[1]
-            for v in _objective(ev.plan, ev.units, ev.clock, cols, objective).tolist()
+            for v in ev.objective_value(cols, objective).tolist()
         ]
         scalar = [ev.objective_value(space.bounds_at(i), objective) for i in kept]
         assert block == scalar
@@ -913,7 +913,7 @@ def test_objective_is_a_left_to_right_float_sum(case, data):
     )
     for objective in ("energy", "latency", "edp"):
         for cols in blocks:
-            vals = _objective(ev.plan, ev.units, ev.clock, cols, objective)
+            vals = ev.objective_value(cols, objective)
             for v, bounds in zip(vals.tolist(), cols.T.tolist()):
                 p = ev.plan.products(bounds)
                 energy = 0.0
