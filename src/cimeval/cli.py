@@ -53,7 +53,7 @@ from .mapping import (
     parse_mapping,
     serialize_mapping,
 )
-from .valuemodel import ValueModelError
+from .valuemodel import ENCODINGS, ValueModelError
 from .workload import WorkloadError, WorkloadLayer, parse_workload
 
 EXIT_OK = 0
@@ -276,10 +276,20 @@ def _parse_param(spec: str) -> tuple[str, list]:
     path = path.strip()
     if "." not in path:
         raise _CliError(f"--param path must be node.attr, got {path!r}")
+    # an encoding setting takes names, checked here; any other takes numbers
+    encoding = path.endswith("_encoding")
     values = []
     for tok in raw.split(","):
         tok = tok.strip()
         if not tok:
+            continue
+        if encoding:
+            if tok not in ENCODINGS:
+                raise _CliError(
+                    f"--param {path}: unknown encoding {tok!r}, expected one of "
+                    + ", ".join(ENCODINGS)
+                )
+            values.append(tok)
             continue
         try:
             values.append(int(tok))
@@ -350,6 +360,8 @@ def _cmd_sweep(args) -> int:
         point = arch
         for path, values in params:
             point = _apply_param(point, path, values[k])
+        # an encoding name as it is, a number as its repr
+        cells = [vs[k] if isinstance(vs[k], str) else repr(vs[k]) for _, vs in params]
         for layer in layers:
             found = engine_search(point, layer, config)
             if found is None:
@@ -363,7 +375,7 @@ def _cmd_sweep(args) -> int:
             )
             writer.writerow(
                 [layer.name]
-                + [repr(values[k]) for _, values in params]
+                + cells
                 + [
                     repr(res.energy_j),
                     repr(res.energy_per_mac_j),

@@ -300,36 +300,36 @@ class LayerEvaluator:
     def bounds_of(self, mapping: Mapping) -> list[int]:
         return self.slot_table.bounds_from_mapping(mapping)
 
-    def objective_value(self, bounds, objective: str):
-        """Search objective of one mapping's bounds, as a float, or an array
-        of it over a block's bounds columns (as MappingSpace.scan yields them).
-
-        Energy adds float64(count) * unit left to right in plan-entry order, on
-        Python ints and floats for one mapping and column-wise on int64 (or
-        Python-int object) columns for a block: the same roundings in the same
-        order, so a mapping's energy is the same float alone or in a block, on
-        any BLAS build (a BLAS dot may reorder or fuse its additions).
-        """
+    def objective_value(self, bounds: list[int], objective: str) -> float:
+        """Search objective of one mapping's bounds, as a float."""
         if len(bounds) != len(self.slot_table):
             side = "shorter" if len(bounds) < len(self.slot_table) else "longer"
             raise EngineError(f"bounds vector {side} than the slot table")
+        return float(self.objective_of_products(self.plan.products(bounds), objective))
+
+    def objective_of_products(self, products, objective: str):
+        """Search objective from the plan's subset products, as a float64
+        array: 0-d for one mapping's (CountPlan.products), one value per
+        mapping for a block's rows of products (as MappingSpace.scan yields
+        them).
+
+        Energy adds float64(count) * unit left to right in plan-entry order,
+        on Python ints and floats for one mapping and row-wise on int64 (or
+        Python-int object) rows for a block: the same roundings in the same
+        order, so a mapping's energy is the same float alone or in a block,
+        on any BLAS build (a BLAS dot may reorder or fuse its additions).
+        """
         plan = self.plan
-        p = plan.products(bounds)
         energy = 0.0
-        for c, u in zip(plan.entry_counts(p), self.units.tolist()):
+        for c, u in zip(plan.entry_counts(products), self.units.tolist()):
             energy = energy + c * u
-        block = isinstance(bounds, np.ndarray)
-        if block:
-            energy = np.asarray(energy, np.float64)
+        energy = np.asarray(energy, np.float64)
         if objective == "energy":
-            value = energy
-        elif objective in ("latency", "edp"):
-            value = np.asarray(p[plan.cycles_sub], np.float64) * self.clock
-            if objective == "edp":
-                value = energy * value
-        else:
-            raise EngineError(f"unknown objective {objective!r}")
-        return value if block else float(value)
+            return energy
+        if objective in ("latency", "edp"):
+            latency = np.asarray(products[plan.cycles_sub], np.float64) * self.clock
+            return latency if objective == "latency" else energy * latency
+        raise EngineError(f"unknown objective {objective!r}")
 
     def evaluate(self, mapping: Mapping) -> EvalResult:
         counts, cycles, utilization = self.plan.evaluate(self.bounds_of(mapping))
@@ -386,25 +386,27 @@ def search(
     """Deterministic random search over the exact-tiling mapping space.
 
     The drawn indices are scanned in ascending order, a block at a time,
-    and ties on the objective break toward the lower index.
+    and ties on the objective break toward the lower index.  The scan
+    prices each candidate from its plan products; only the winner's index
+    is decoded into a mapping.
     """
     evaluator = LayerEvaluator(arch, layer, registry)
     space = MappingSpace(arch, layer, evaluator.slot_table)
     idxs = space.draw_array(config.budget, config.seed)
     best = None
     valid = 0
-    for kept, cols in space.scan(idxs):
+    for kept, products in space.scan(idxs, evaluator.plan.subsets):
         if not len(kept):
             continue
         valid += len(kept)
-        vals = evaluator.objective_value(cols, config.objective)
+        vals = evaluator.objective_of_products(products, config.objective)
         k = int(np.argmin(vals))
         if best is None or vals[k] < best[0]:
-            best = (vals[k], int(kept[k]), cols[:, k])
+            best = (vals[k], int(kept[k]))
     if best is None:
         return None
-    _, best_idx, column = best
-    mapping = evaluator.slot_table.mapping_from_bounds(column.tolist())
+    best_idx = best[1]
+    mapping = space.mapping_at(best_idx)
     return SearchResult(
         layer=layer.name,
         index=best_idx,

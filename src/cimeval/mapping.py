@@ -42,9 +42,9 @@ COMPUTE_TENSOR = "all"
 #: what search minimizes
 OBJECTIVES = ("energy", "latency", "edp")
 
-# Indices MappingSpace.scan decodes at once.  A block's bounds and count
-# matrices are a few hundred kB whatever the budget; the drawn indices,
-# one array of 8 bytes each (a Python int each past int64), grow with it.
+# Indices MappingSpace.scan prices at once.  A block's buffers are a few
+# hundred kB whatever the budget; the drawn indices, one array of 8 bytes
+# each (a Python int each past int64), grow with it.
 SCAN_BLOCK = 1024
 
 
@@ -242,8 +242,8 @@ class CountPlan:
     mesh_capacity: int
 
     def products(self, bounds) -> list:
-        """Product of the bounds over each subset, in ``subsets`` order;
-        arrays over mappings when ``bounds`` are a block's bounds columns."""
+        """Product of one mapping's bounds over each subset, in ``subsets``
+        order (MappingSpace.scan gives the same products for a block)."""
         out: list = []
         for base, extra in self.subsets:
             p = 1 if base is None else out[base]
@@ -432,8 +432,7 @@ class _Rule:
     over its (ids, w) terms <= hi.
 
     kind, node and dim (the axis kind, for a mesh rule) only word the
-    message of a broken rule.  Like CountPlan.products, ``value`` takes one
-    mapping's bounds or a block's bounds columns.
+    message of a broken rule.
     """
 
     kind: str
@@ -566,6 +565,7 @@ def _factorizations(
     tails: tuple[int | None, ...] | None = None,
     memo: dict | None = None,
     dtype=np.int64,
+    divisors: dict | None = None,
 ) -> np.ndarray:
     """All ordered k-tuples of positive ints whose product is n, as the rows
     of a read-only (rows, k) array of ``dtype``.
@@ -577,6 +577,7 @@ def _factorizations(
     uncapped table filtered by the caps, in the same order.  memo caches
     tables across calls that share it, which must pass one dtype; a cached
     table may be returned to several callers, so every table is read-only.
+    divisors caches each n's sorted divisors the same way.
     """
     if caps is None:
         caps = (None,) * k
@@ -584,6 +585,8 @@ def _factorizations(
         tails = (None,) * (k + 1)
     if memo is None:
         memo = {}
+    if divisors is None:
+        divisors = {}
     key = (n, caps, tails)
     out = memo.get(key)
     if out is not None:
@@ -596,10 +599,18 @@ def _factorizations(
         # (d, first row, end row, suffix table) of each d with suffixes
         parts = []
         rows = 0
-        for d in [n] if k == 1 else sorted(_divisors(n)):
+        if k == 1:
+            ds = [n]
+        elif n in divisors:
+            ds = divisors[n]
+        else:
+            ds = divisors[n] = sorted(_divisors(n))
+        for d in ds:
             if caps[0] is not None and d > caps[0]:
                 break
-            rest = _factorizations(n // d, k - 1, caps[1:], tails[1:], memo, dtype)
+            rest = _factorizations(
+                n // d, k - 1, caps[1:], tails[1:], memo, dtype, divisors
+            )
             if len(rest):
                 parts.append((d, rows, rows + len(rest), rest))
                 rows += len(rest)
@@ -694,8 +705,10 @@ class MappingSpace:
         self.dim_slots: dict[str, list[int]] = {}
         self.dim_choices: dict[str, np.ndarray] = {}
         # one table for this build: dims with equal sizes and slot caps
-        # (M and K of a square matvec) share their factorizations
+        # (M and K of a square matvec) share their factorizations, and
+        # every dim the divisors of the sizes it reaches
         memo: dict = {}
+        divisors: dict = {}
         for cover in (r for r in rules if r.kind == "cover"):
             dim, size = cover.dim, cover.lo
             slot_ids = [i for i in cover.terms[0][0] if i not in fixed]
@@ -707,7 +720,7 @@ class MappingSpace:
                 j = sum(sid not in r.terms[0][0] for sid in slot_ids)
                 tails[j] = r.hi if tails[j] is None else min(tails[j], r.hi)
             choices = _factorizations(
-                size, len(slot_ids), caps, tuple(tails), memo, self._dtype
+                size, len(slot_ids), caps, tuple(tails), memo, self._dtype, divisors
             )
             if len(choices) > self.MAX_PER_DIM:
                 raise MappingError(
@@ -716,47 +729,176 @@ class MappingSpace:
                 )
             self.dim_slots[dim] = slot_ids
             self.dim_choices[dim] = choices
+        # per slot id: (dim number, column in the dim's choices), or None
+        # for a slot no dim varies, which stays 1
+        self._slot_pos: list = [None] * len(self.table)
+        for j, (dim, _) in enumerate(self.table.dims):
+            for pos, i in enumerate(self.dim_slots[dim]):
+                self._slot_pos[i] = (j, pos)
         self.radices = [len(self.dim_choices[d]) for d, _ in self.table.dims]
         self.total = math.prod(self.radices)
 
-    def bounds_ok(self, bounds):
-        """check_valid's verdict on bounds this space generated, or a mask
-        of verdicts on a block's bounds columns."""
-        ok = True
-        for r in self._residual:
-            value = r.value(bounds)
-            ok = ok & (value >= r.lo) & (value <= r.hi)
-        return ok
+    def bounds_ok(self, bounds: list[int]) -> bool:
+        """check_valid's verdict on bounds this space generated."""
+        return all(r.lo <= r.value(bounds) <= r.hi for r in self._residual)
 
-    def _decode(self, idx: np.ndarray, cols: np.ndarray) -> None:
-        """Write each index's bounds into its column of ``cols``, the last
-        dim's digit fastest; slots no dim varies are left as they are."""
+    def _digits(self, idx: np.ndarray) -> list[np.ndarray]:
+        """Each index's choice of each dim, dims in layer order; the last
+        dim's digit varies fastest."""
+        digits = []
         rem = idx
-        for (dim, _), radix in zip(reversed(self.table.dims), reversed(self.radices)):
-            chosen = (rem % radix).astype(np.intp, copy=False)
-            rem = rem // radix
-            cols[self.dim_slots[dim]] = self.dim_choices[dim].take(chosen, 0).T
+        for radix in self.radices[:0:-1]:
+            q = rem // radix
+            digits.append((rem - q * radix).astype(np.intp, copy=False))
+            rem = q
+        digits.append(rem.astype(np.intp, copy=False))
+        return digits[::-1]
+
+    def _decode(self, cols: np.ndarray, digits: list, dims) -> None:
+        """Write the chosen rows of the dims numbered ``dims`` into their
+        slots' rows of ``cols``, one column per index."""
+        for j in dims:
+            dim = self.table.dims[j][0]
+            cols[self.dim_slots[dim]] = self.dim_choices[dim].take(digits[j], 0).T
+
+    def _columns(self, idx: np.ndarray) -> np.ndarray:
+        """Bounds columns of the indices: ``cols[s]`` holds slot s's bound
+        of each; slots no dim varies are 1."""
+        cols = np.ones((len(self.table), len(idx)), self._dtype)
+        self._decode(cols, self._digits(idx), range(len(self.radices)))
+        return cols
 
     def bounds_at(self, index: int) -> list[int]:
-        cols = np.ones((len(self.table), 1), self._dtype)
-        self._decode(np.array([index], _index_dtype(self.total)), cols)
-        return cols[:, 0].tolist()
+        """The bounds of one index, decoded in Python as _columns decodes a
+        block: the last dim's digit varies fastest."""
+        bounds = [1] * len(self.table)
+        for (dim, _), radix in zip(self.table.dims[::-1], self.radices[::-1]):
+            index, digit = divmod(index, radix)
+            for i, b in zip(self.dim_slots[dim], self.dim_choices[dim][digit].tolist()):
+                bounds[i] = b
+        return bounds
 
-    def scan(self, indices):
+    def _factor_table(self, j: int, bases: list, own: list) -> np.ndarray:
+        """(choice, entry) table of dim number j: the product of each
+        choice's entries at each chain entry's slots of the dim, built along
+        the chain as CountPlan.products builds products over bounds.  Entry
+        k extends entry bases[k] (None for none) by the dim's choice columns
+        own[k].  A choice's factors are one row, so a gather copies rows."""
+        choices = self.dim_choices[self.table.dims[j][0]]
+        out = np.empty((len(own), len(choices)), self._dtype)
+        for k, (base, cols) in enumerate(zip(bases, own)):
+            row = 1 if base is None else out[base]
+            for pos in cols:
+                row = row * choices[:, pos]
+            out[k] = row
+        return np.ascontiguousarray(out.T)
+
+    def _scan_layout(self, subsets, n: int):
+        """How a scan of n indices prices ``subsets`` and the residual rules.
+
+        The chain is the subsets, then each rule term as a product from
+        scratch.  A dim is tabulated when radix * m + n * s < n * m, for m
+        multiplies on its slots along the chain and s chain entries.
+        Returns the tables by dim number, the other dims' numbers, each
+        entry's slots of those dims, and each rule as (lo, hi, (entry,
+        weight) per term).
+        """
+        terms = [(None, ids) for r in self._residual for ids, _ in r.terms]
+        chain = [*subsets, *terms]
+        # own[j][k]: the columns of dim j's choices among entry k's extras
+        own = [[[] for _ in chain] for _ in self.radices]
+        for k, (_, extra) in enumerate(chain):
+            for i in extra:
+                at = self._slot_pos[i]
+                if at is not None:
+                    own[at[0]][k].append(at[1])
+        s = len(chain)
+        bases = [base for base, _ in chain]
+        tables, decoded = {}, []
+        for j, radix in enumerate(self.radices):
+            m = sum(map(len, own[j]))
+            if radix * m + n * s < n * m:
+                tables[j] = self._factor_table(j, bases, own[j])
+            else:
+                decoded.append(j)
+        slots = [self.dim_slots[dim] for dim, _ in self.table.dims]
+        extras = [
+            [slots[j][pos] for j in decoded for pos in own[j][k]] for k in range(s)
+        ]
+        entry = iter(range(len(subsets), s))
+        checks = [
+            (r.lo, r.hi, [(next(entry), w) for _, w in r.terms]) for r in self._residual
+        ]
+        return tables, decoded, extras, checks
+
+    def scan(self, indices, subsets=()):
         """Yield, per block of SCAN_BLOCK indices, the ones bounds_ok accepts
-        (in the given order) and their bounds as columns: ``cols[s]`` holds
-        slot s's bound of each.  Indices decode as in bounds_at; an array
-        from draw_array is scanned as it is, with no conversion."""
+        (in the given order) and their products over ``subsets``, a chain of
+        (base, extra) as CountPlan.subsets holds it: ``products[k]`` holds
+        of each kept index what CountPlan.products gives for subset k on its
+        bounds_at.  Indices decode as in bounds_at; an array from draw_array
+        is scanned as it is, with no conversion.
+
+        A subset's product, and each term of a residual rule, factors into
+        one integer per dim: the product of the dim's chosen factorization
+        at the subset's slots of the dim.  A dim gets a (choice, subset)
+        table of these factors, gathered by each index's digit, when
+        building it is less work than multiplying its slots per candidate
+        (see _scan_layout).  The other dims are decoded into a block buffer
+        and multiplied in slot by slot: the rule terms for every index, the
+        subsets for the kept ones.  The products are exact integers in the
+        space's dtype either way.
+        """
         indices = np.asarray(indices, _index_dtype(self.total))
-        # every block decodes into one buffer (slots no dim varies stay 1):
-        # what is yielded is a copy taken from it
-        buf = np.ones((len(self.table), min(len(indices), SCAN_BLOCK)), self._dtype)
-        for start in range(0, len(indices), SCAN_BLOCK):
+        n, n_sub = len(indices), len(subsets)
+        tables, decoded, extras, checks = self._scan_layout(subsets, n)
+        # the decoded dims' rows of every block; the other rows stay 1
+        if decoded:
+            buf = np.ones((len(self.table), min(n, SCAN_BLOCK)), self._dtype)
+        for start in range(0, n, SCAN_BLOCK):
             idx = indices[start : start + SCAN_BLOCK]
-            cols = buf[:, : len(idx)]
-            self._decode(idx, cols)
-            keep = np.flatnonzero(np.ones(len(idx), bool) & self.bounds_ok(cols))
-            yield idx.take(keep), cols.take(keep, 1)
+            digits = self._digits(idx)
+            # (index, entry) products of the tabulated dims' factors
+            gathered = None
+            for j, table in tables.items():
+                f = table.take(digits[j], 0)
+                if gathered is None:
+                    gathered = f
+                else:
+                    gathered *= f
+            if decoded:
+                cols = buf[:, : len(idx)]
+                self._decode(cols, digits, decoded)
+            ok = np.ones(len(idx), bool)
+            for lo, hi, rule_terms in checks:
+                value = 0
+                for k, w in rule_terms:
+                    term = w if gathered is None else gathered[:, k] * w
+                    for i in extras[k]:
+                        term = term * cols[i]
+                    value = value + term
+                # a value sums positive products with positive weights, so
+                # a bound lo <= 0 or hi = inf holds for every index
+                if lo > 0:
+                    ok &= value >= lo
+                if hi < math.inf:
+                    ok &= value <= hi
+            keep = np.flatnonzero(ok)
+            if gathered is None:
+                products = np.ones((n_sub, len(keep)), self._dtype)
+            else:
+                products = gathered.take(keep, 0)[:, :n_sub].T.copy()
+            if decoded:
+                kept = cols.take(keep, 1)
+                rows: list = []
+                for k, (base, _) in enumerate(subsets):
+                    row = 1 if base is None else rows[base]
+                    for i in extras[k]:
+                        row = row * kept[i]
+                    rows.append(row)
+                    if isinstance(row, np.ndarray):
+                        products[k] *= row
+            yield idx.take(keep), products
 
     def mapping_at(self, index: int) -> Mapping:
         return self.table.mapping_from_bounds(self.bounds_at(index))
@@ -871,8 +1013,8 @@ def enumerate_mappings(
     space = MappingSpace(arch, layer, table)
     return (
         (idx, space.table.mapping_from_bounds(bounds))
-        for kept, cols in space.scan(space.draw_array(budget, seed))
-        for idx, bounds in zip(kept.tolist(), cols.T.tolist())
+        for kept, _ in space.scan(space.draw_array(budget, seed))
+        for idx, bounds in zip(kept.tolist(), space._columns(kept).T.tolist())
     )
 
 

@@ -719,6 +719,8 @@ def test_sweep_zips_params_and_rejects_bad_specs(tmp_path, capsys):
         ("t_read=1e-9", "path must be node.attr"),
         ("cell.t_read=1e-9,fast", "value 'fast' is not a number"),
         ("cell.t_read= , ", "has no values"),
+        ("cell.weight_encoding=offset,bogus", "unknown encoding 'bogus'"),
+        ("cell.input_encoding=2", "unknown encoding '2'"),
     ],
 )
 def test_sweep_rejects_a_malformed_param_in_one_line(capsys, spec, message):
@@ -875,6 +877,28 @@ def test_sweep_param_names_must_be_read(capsys):
         assert len(rows) == 2
         # each point prices differently
         assert rows[0].split(",")[2] != rows[1].split(",")[2], param
+
+
+def test_encoding_sweep_writes_the_rows_of_edited_yaml(tmp_path, capsys):
+    encodings = ("twos_complement", "offset", "differential")
+    argv = ["sweep", "--workload", CONV_WORKLOAD, "--layer", "fc", "--budget", "50"]
+    param = "cell.weight_encoding=" + ",".join(encodings)
+    assert main(argv + ["--arch", ARCH, "--param", param]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("layer,cell.weight_encoding,best_energy_j,")
+    rows = lines[2:]
+    assert [r.split(",")[:2] for r in rows] == [["fc", e] for e in encodings]
+    base = read_fixture("arch_crossbar.yaml")
+    for row, encoding in zip(rows, encodings):
+        arch = tmp_path / f"{encoding}.yaml"
+        arch.write_text(base + f"  weight_encoding: {encoding}\n")
+        # a point that leaves the edited arch as it is
+        assert main(argv + ["--arch", str(arch), "--param", "cell.mesh_x=2"]) == 0
+        [edited] = capsys.readouterr().out.splitlines()[2:]
+        layer, _, *metrics = edited.split(",")
+        assert row == ",".join([layer, encoding, *metrics])
+    # each encoding prices the weights differently
+    assert len({r.split(",")[2] for r in rows}) == 3
 
 
 def test_sweep_rejects_fractional_meshes_and_nan_attributes(capsys):

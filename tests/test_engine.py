@@ -1080,10 +1080,8 @@ def test_library_loop_builds_one_slot_table(monkeypatch, crossbar_arch):
 
 
 @pytest.mark.parametrize("case", ["conv3x3", "primes"])
-def test_search_builds_its_winner_from_the_scanned_column(
-    monkeypatch, crossbar_arch, case
-):
-    # the primes layer scans in Python-int object columns
+def test_search_decodes_only_its_winner(monkeypatch, crossbar_arch, case):
+    # the primes layer scans in Python-int object products
     layer = _CONV_LAYERS.get(case) or parse_workload(PRIMES)[0]
     decoded = []
     for name in ("mapping_at", "bounds_at"):
@@ -1095,7 +1093,8 @@ def test_search_builds_its_winner_from_the_scanned_column(
 
         monkeypatch.setattr(MappingSpace, name, counting)
     found = search(crossbar_arch, layer, MapperConfig(budget=2000, seed=1))
-    assert decoded == []
+    # the scan prices plan products; one index, the winner's, is decoded
+    assert decoded == ["mapping_at", "bounds_at"]
     space = MappingSpace(crossbar_arch, layer)
     assert found.mapping == space.mapping_at(found.index)
 

@@ -672,6 +672,7 @@ def test_tables_past_int64_hold_python_ints(crossbar_arch):
     prime = 4294967291
     layer = parse_workload(_matvec(12 * prime, prime))[0]
     space = MappingSpace(crossbar_arch, layer)
+    _, plan = build_count_plan(crossbar_arch, layer, space.table)
     sizes = dict(layer.einsum.dims)
     for dim, table in space.dim_choices.items():
         assert table.dtype == object and len(table) > 1
@@ -680,8 +681,9 @@ def test_tables_past_int64_hold_python_ints(crossbar_arch):
         assert all(a < b for a, b in zip(rows, rows[1:]))
     for idx in (0, space.total // 3, space.total - 1):
         bounds = space.bounds_at(idx)
-        [(kept, cols)] = space.scan([idx])
-        assert kept.tolist() == [idx] and cols[:, 0].tolist() == bounds
+        [(kept, products)] = space.scan([idx], plan.subsets)
+        assert kept.tolist() == [idx] and products[:, 0].tolist() == plan.products(bounds)
+        assert space._columns(kept)[:, 0].tolist() == bounds
         mapping = space.mapping_at(idx)
         loops = [l for _, ls in mapping.loops for l in ls]
         assert all(type(l.bound) is int for l in loops)
@@ -854,21 +856,24 @@ def test_block_scan_agrees_with_scalar_path(case):
     space = MappingSpace(arch, layer)
     ev = LayerEvaluator(arch, layer)
     drawn = space.draw_indices(budget, seed=1)
-    blocks = list(space.scan(drawn))
+    blocks = list(space.scan(drawn, ev.plan.subsets))
     assert len(blocks) == -(-len(drawn) // SCAN_BLOCK)
     kept = [i for idx, _ in blocks for i in idx.tolist()]
     assert kept == [i for i in drawn if space.bounds_ok(space.bounds_at(i))]
     assert kept
     wide = case == "primes"
-    for idx, cols in blocks:
-        assert (cols.dtype == object) == wide
-        assert cols.T.tolist() == [space.bounds_at(i) for i in idx.tolist()]
+    for idx, products in blocks:
+        assert (products.dtype == object) == wide
+        bounds = [space.bounds_at(i) for i in idx.tolist()]
+        assert products.T.tolist() == [ev.plan.products(b) for b in bounds]
+        # enumerate_mappings decodes the kept indices as one block
+        assert space._columns(idx).T.tolist() == bounds
     for objective in ("energy", "latency", "edp"):
         block = [
             v
-            for _, cols in blocks
-            if cols.shape[1]
-            for v in ev.objective_value(cols, objective).tolist()
+            for _, products in blocks
+            if products.shape[1]
+            for v in ev.objective_of_products(products, objective).tolist()
         ]
         scalar = [ev.objective_value(space.bounds_at(i), objective) for i in kept]
         assert block == scalar
@@ -877,6 +882,92 @@ def test_block_scan_agrees_with_scalar_path(case):
         assert found.index == kept[first_min]
         assert found.valid == len(kept)
         assert found.evaluated == len(drawn)
+
+
+# (arch, workload, layer number) of the tabulation switch test: the scan
+# cases, and ARCH_RULES_A (keep_dims, capacity, max_tile) on a wider layer
+# and with a constraint on a dim the layer lacks
+SWITCH_CASES = {
+    **{c: (a, w, k) for c, (a, w, k, _) in SCAN_CASES.items() if c != "conv3x3_few"},
+    "rules_A_wide": (ARCH_RULES_A, LAYER_12X8, 0),
+    "unknown_dims": (
+        ARCH_RULES_A.replace("keep_dims: [K]", "keep_dims: [K, Z]").replace(
+            "max_tile: {M: 2}", "max_tile: {M: 2, Z: 3}"
+        ),
+        LAYER_12X8,
+        0,
+    ),
+}
+
+
+def _tabulation_switches(space, plan) -> dict[int, int]:
+    """Per dim number, the shortest draw for which the scan tabulates the
+    dim: radix * m + n * s < n * m, where m counts the multiplies on the
+    dim's slots along the plan's subsets and the residual rules' terms
+    (each from scratch), and s counts those."""
+    chain = list(plan.subsets) + [
+        (None, ids) for r in space._residual for ids, _ in r.terms
+    ]
+    s = len(chain)
+    out = {}
+    for j, (dim, _) in enumerate(space.table.dims):
+        mine = set(space.dim_slots[dim])
+        m = sum(i in mine for _, extra in chain for i in extra)
+        if m > s:
+            out[j] = space.radices[j] * m // (m - s) + 1
+    return out
+
+
+@pytest.mark.parametrize("case", list(SWITCH_CASES))
+@given(seed=st.integers(0, 2**32))
+@settings(max_examples=2, deadline=None)
+def test_factor_scan_agrees_across_each_tabulation_switch(case, seed):
+    arch_text, layer_text, k = SWITCH_CASES[case]
+    if arch_text == "crossbar":
+        arch_text = read_fixture("arch_crossbar.yaml")
+    if layer_text == "conv":
+        layer_text = read_fixture("workload_conv.yaml")
+    arch = parse_arch(arch_text)
+    layer = parse_workload(layer_text)[k]
+    space = MappingSpace(arch, layer)
+    ev = LayerEvaluator(arch, layer)
+    switches = _tabulation_switches(space, ev.plan)
+    # draws of one index, just below, at and just above each dim's switch,
+    # and of the whole space where it is small
+    lengths = {1} | {n + d for n in switches.values() for d in (-1, 0, 1)}
+    if space.total <= 4 * SCAN_BLOCK:
+        lengths.add(space.total)
+    tabulated: list = []
+    real = MappingSpace._factor_table
+    for t, n in enumerate(sorted(x for x in lengths if 1 <= x <= space.total)):
+        drawn = space.draw_array(n, seed)
+        tabulated.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                MappingSpace,
+                "_factor_table",
+                lambda self, j, *args: tabulated.append(j) or real(self, j, *args),
+            )
+            blocks = list(space.scan(drawn, ev.plan.subsets))
+        assert sorted(tabulated) == [j for j, at in switches.items() if n >= at]
+        kept = [i for idx, _ in blocks for i in idx.tolist()]
+        assert kept == [i for i in drawn.tolist() if space.bounds_ok(space.bounds_at(i))]
+        for idx, products in blocks:
+            assert products.T.tolist() == [
+                ev.plan.products(space.bounds_at(i)) for i in idx.tolist()
+            ]
+        # the objectives take turns, each search building its space anew
+        objective = OBJECTIVES[t % len(OBJECTIVES)]
+        found = search(arch, layer, MapperConfig(objective, budget=n, seed=seed))
+        if not kept:
+            assert found is None
+            continue
+        scalar = [ev.objective_value(space.bounds_at(i), objective) for i in kept]
+        best = kept[min(range(len(kept)), key=lambda j: (scalar[j], kept[j]))]
+        assert (found.index, found.valid, found.evaluated) == (best, len(kept), n)
+        assert found.result.energy_j == ev.evaluate(space.mapping_at(best)).energy_j
+    if case == "unknown_dims":
+        assert not kept
 
 
 # (workload, layer number) of the priced objective test; the primes layer
@@ -897,24 +988,26 @@ def _priced_scan(case):
     )
     layer = parse_workload(layer_text)[k]
     space = MappingSpace(arch, layer)
+    ev = LayerEvaluator(arch, layer)
     drawn = space.draw_indices(SCAN_BLOCK // 2, seed=3)
-    blocks = [cols for _, cols in space.scan(drawn) if cols.shape[1]]
-    assert blocks and all((c.dtype == object) == (case == "primes") for c in blocks)
-    return LayerEvaluator(arch, layer), blocks
+    blocks = [(i, p) for i, p in space.scan(drawn, ev.plan.subsets) if p.shape[1]]
+    assert blocks and all((p.dtype == object) == (case == "primes") for _, p in blocks)
+    return space, ev, blocks
 
 
 @given(st.sampled_from(list(PRICED_CASES)), st.data())
 @settings(max_examples=30, deadline=None)
 def test_objective_is_a_left_to_right_float_sum(case, data):
-    ev, blocks = _priced_scan(case)
+    space, ev, blocks = _priced_scan(case)
     n = len(ev.units)
     ev.units = np.array(
         data.draw(st.lists(st.floats(1e-18, 1e-9), min_size=n, max_size=n))
     )
     for objective in ("energy", "latency", "edp"):
-        for cols in blocks:
-            vals = ev.objective_value(cols, objective)
-            for v, bounds in zip(vals.tolist(), cols.T.tolist()):
+        for idx, products in blocks:
+            vals = ev.objective_of_products(products, objective)
+            for v, i in zip(vals.tolist(), idx.tolist()):
+                bounds = space.bounds_at(i)
                 p = ev.plan.products(bounds)
                 energy = 0.0
                 for c, u in zip(ev.plan.entry_counts(p), ev.units.tolist()):
@@ -968,10 +1061,14 @@ def test_draw_array_is_draw_indices_in_the_scan_index_dtype(crossbar_arch, tiny_
         drawn = space.draw_array(budget, seed=3)
         assert drawn.dtype == dtype
         assert drawn.tolist() == space.draw_indices(budget, seed=3)
-    space = MappingSpace(crossbar_arch, parse_workload(read_fixture("workload_conv.yaml"))[0])
+    layer = parse_workload(read_fixture("workload_conv.yaml"))[0]
+    space = MappingSpace(crossbar_arch, layer)
+    _, plan = build_count_plan(crossbar_arch, layer, space.table)
     drawn = space.draw_array(3 * SCAN_BLOCK, seed=2)
-    blocks = [(k.tolist(), c.tolist()) for k, c in space.scan(drawn)]
-    assert blocks == [(k.tolist(), c.tolist()) for k, c in space.scan(drawn.tolist())]
+    blocks = [(k.tolist(), p.tolist()) for k, p in space.scan(drawn, plan.subsets)]
+    assert blocks == [
+        (k.tolist(), p.tolist()) for k, p in space.scan(drawn.tolist(), plan.subsets)
+    ]
 
 
 def test_mapping_space_refuses_a_dim_past_max_per_dim(crossbar_arch, monkeypatch):
