@@ -16,6 +16,7 @@ that is then evaluated per mapping with a handful of integer multiplies.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -42,8 +43,8 @@ COMPUTE_TENSOR = "all"
 #: what search minimizes
 OBJECTIVES = ("energy", "latency", "edp")
 
-# Indices MappingSpace.scan prices at once.  A block's buffers are a few
-# hundred kB whatever the budget; the drawn indices, one array of 8 bytes
+# Indices MappingSpace.scan prices at once.  A block's factor matrices are
+# tens of kB each whatever the budget; the drawn indices, one array of 8 bytes
 # each (a Python int each past int64), grow with it.
 SCAN_BLOCK = 1024
 
@@ -653,6 +654,22 @@ def _divisors(n: int) -> list[int]:
     return ds if n == 1 else ds + [d * n for d in ds]
 
 
+def _factors(choices: np.ndarray, bases: list, own: list) -> np.ndarray:
+    """(row, entry) factors of some rows of one dim's choices: the product
+    of each row's entries at each chain entry's slots of the dim, built
+    along the chain as CountPlan.products builds products over bounds.
+    Entry k extends entry bases[k] (None for none) by the choice columns
+    own[k].  Each row's factors are one row of the result, so a table built
+    over all of a dim's choices is gathered by copying rows."""
+    out = np.empty((len(own), len(choices)), choices.dtype)
+    for k, (base, cols) in enumerate(zip(bases, own)):
+        row = 1 if base is None else out[base]
+        for pos in cols:
+            row = row * choices[:, pos]
+        out[k] = row
+    return np.ascontiguousarray(out.T)
+
+
 class MappingSpace:
     """Indexable space of exact-tiling mappings for one (arch, layer) pair.
 
@@ -754,23 +771,27 @@ class MappingSpace:
         digits.append(rem.astype(np.intp, copy=False))
         return digits[::-1]
 
-    def _decode(self, cols: np.ndarray, digits: list, dims) -> None:
-        """Write the chosen rows of the dims numbered ``dims`` into their
-        slots' rows of ``cols``, one column per index."""
-        for j in dims:
-            dim = self.table.dims[j][0]
-            cols[self.dim_slots[dim]] = self.dim_choices[dim].take(digits[j], 0).T
-
     def _columns(self, idx: np.ndarray) -> np.ndarray:
         """Bounds columns of the indices: ``cols[s]`` holds slot s's bound
         of each; slots no dim varies are 1."""
         cols = np.ones((len(self.table), len(idx)), self._dtype)
-        self._decode(cols, self._digits(idx), range(len(self.radices)))
+        for (dim, _), digit in zip(self.table.dims, self._digits(idx)):
+            cols[self.dim_slots[dim]] = self.dim_choices[dim].take(digit, 0).T
         return cols
 
     def bounds_at(self, index: int) -> list[int]:
         """The bounds of one index, decoded in Python as _columns decodes a
         block: the last dim's digit varies fastest."""
+        try:
+            index = operator.index(index)
+        except TypeError:
+            raise MappingError(
+                f"mapping index must be an integer, got {index!r}"
+            ) from None
+        if not 0 <= index < self.total:
+            raise MappingError(
+                f"mapping index must lie in [0, {self.total}), got {index}"
+            )
         bounds = [1] * len(self.table)
         for (dim, _), radix in zip(self.table.dims[::-1], self.radices[::-1]):
             index, digit = divmod(index, radix)
@@ -778,29 +799,15 @@ class MappingSpace:
                 bounds[i] = b
         return bounds
 
-    def _factor_table(self, j: int, bases: list, own: list) -> np.ndarray:
-        """(choice, entry) table of dim number j: the product of each
-        choice's entries at each chain entry's slots of the dim, built along
-        the chain as CountPlan.products builds products over bounds.  Entry
-        k extends entry bases[k] (None for none) by the dim's choice columns
-        own[k].  A choice's factors are one row, so a gather copies rows."""
-        choices = self.dim_choices[self.table.dims[j][0]]
-        out = np.empty((len(own), len(choices)), self._dtype)
-        for k, (base, cols) in enumerate(zip(bases, own)):
-            row = 1 if base is None else out[base]
-            for pos in cols:
-                row = row * choices[:, pos]
-            out[k] = row
-        return np.ascontiguousarray(out.T)
-
     def _scan_layout(self, subsets, n: int):
         """How a scan of n indices prices ``subsets`` and the residual rules.
 
         The chain is the subsets, then each rule term as a product from
         scratch.  A dim is tabulated when radix * m + n * s < n * m, for m
         multiplies on its slots along the chain and s chain entries.
-        Returns the tables by dim number, the other dims' numbers, each
-        entry's slots of those dims, and each rule as (lo, hi, (entry,
+        Returns, by dim number, the dim's factor table (None for a dim whose
+        factors are built per block), the chain's bases, each dim's choice
+        columns per entry (see _factors), and each rule as (lo, hi, (entry,
         weight) per term).
         """
         terms = [(None, ids) for r in self._residual for ids, _ in r.terms]
@@ -814,22 +821,18 @@ class MappingSpace:
                     own[at[0]][k].append(at[1])
         s = len(chain)
         bases = [base for base, _ in chain]
-        tables, decoded = {}, []
-        for j, radix in enumerate(self.radices):
-            m = sum(map(len, own[j]))
+        tables = []
+        for (dim, _), radix, mine in zip(self.table.dims, self.radices, own):
+            m = sum(map(len, mine))
             if radix * m + n * s < n * m:
-                tables[j] = self._factor_table(j, bases, own[j])
+                tables.append(_factors(self.dim_choices[dim], bases, mine))
             else:
-                decoded.append(j)
-        slots = [self.dim_slots[dim] for dim, _ in self.table.dims]
-        extras = [
-            [slots[j][pos] for j in decoded for pos in own[j][k]] for k in range(s)
-        ]
+                tables.append(None)
         entry = iter(range(len(subsets), s))
         checks = [
             (r.lo, r.hi, [(next(entry), w) for _, w in r.terms]) for r in self._residual
         ]
-        return tables, decoded, extras, checks
+        return tables, bases, own, checks
 
     def scan(self, indices, subsets=()):
         """Yield, per block of SCAN_BLOCK indices, the ones bounds_ok accepts
@@ -837,46 +840,48 @@ class MappingSpace:
         (base, extra) as CountPlan.subsets holds it: ``products[k]`` holds
         of each kept index what CountPlan.products gives for subset k on its
         bounds_at.  Indices decode as in bounds_at; an array from draw_array
-        is scanned as it is, with no conversion.
+        is scanned as it is, with no conversion.  An index outside the space
+        is refused with MappingError before any block is priced.
 
         A subset's product, and each term of a residual rule, factors into
         one integer per dim: the product of the dim's chosen factorization
-        at the subset's slots of the dim.  A dim gets a (choice, subset)
-        table of these factors, gathered by each index's digit, when
-        building it is less work than multiplying its slots per candidate
-        (see _scan_layout).  The other dims are decoded into a block buffer
-        and multiplied in slot by slot: the rule terms for every index, the
-        subsets for the kept ones.  The products are exact integers in the
-        space's dtype either way.
+        at the subset's slots of the dim.  _factors builds these factors
+        for any rows of a dim's choices.  A dim is tabulated, its factors
+        built once for every choice and gathered by each index's digit, when
+        that is less work than building them from each block's chosen rows
+        (see _scan_layout).  Either way each block multiplies one (index,
+        entry) factor matrix per dim, checks the rules on its columns and
+        keeps the subsets' columns of the kept indices.  The products are
+        exact integers in the space's dtype.
         """
         indices = np.asarray(indices, _index_dtype(self.total))
-        n, n_sub = len(indices), len(subsets)
-        tables, decoded, extras, checks = self._scan_layout(subsets, n)
-        # the decoded dims' rows of every block; the other rows stay 1
-        if decoded:
-            buf = np.ones((len(self.table), min(n, SCAN_BLOCK)), self._dtype)
-        for start in range(0, n, SCAN_BLOCK):
+        if len(indices):
+            low, high = int(indices.min()), int(indices.max())
+            if low < 0 or high >= self.total:
+                raise MappingError(
+                    f"scan indices must lie in [0, {self.total}), got {low} to {high}"
+                )
+        tables, bases, own, checks = self._scan_layout(subsets, len(indices))
+        choices = [self.dim_choices[dim] for dim, _ in self.table.dims]
+        for start in range(0, len(indices), SCAN_BLOCK):
             idx = indices[start : start + SCAN_BLOCK]
-            digits = self._digits(idx)
-            # (index, entry) products of the tabulated dims' factors
-            gathered = None
-            for j, table in tables.items():
-                f = table.take(digits[j], 0)
-                if gathered is None:
-                    gathered = f
-                else:
-                    gathered *= f
-            if decoded:
-                cols = buf[:, : len(idx)]
-                self._decode(cols, digits, decoded)
+            factors = (
+                _factors(rows.take(digit, 0), bases, mine)
+                if table is None
+                else table.take(digit, 0)
+                for digit, table, rows, mine in zip(
+                    self._digits(idx), tables, choices, own
+                )
+            )
+            # every layer has a dim, and each factor matrix is a new array
+            products = next(factors)
+            for f in factors:
+                products *= f
             ok = np.ones(len(idx), bool)
             for lo, hi, rule_terms in checks:
                 value = 0
                 for k, w in rule_terms:
-                    term = w if gathered is None else gathered[:, k] * w
-                    for i in extras[k]:
-                        term = term * cols[i]
-                    value = value + term
+                    value = value + products[:, k] * w
                 # a value sums positive products with positive weights, so
                 # a bound lo <= 0 or hi = inf holds for every index
                 if lo > 0:
@@ -884,21 +889,7 @@ class MappingSpace:
                 if hi < math.inf:
                     ok &= value <= hi
             keep = np.flatnonzero(ok)
-            if gathered is None:
-                products = np.ones((n_sub, len(keep)), self._dtype)
-            else:
-                products = gathered.take(keep, 0)[:, :n_sub].T.copy()
-            if decoded:
-                kept = cols.take(keep, 1)
-                rows: list = []
-                for k, (base, _) in enumerate(subsets):
-                    row = 1 if base is None else rows[base]
-                    for i in extras[k]:
-                        row = row * kept[i]
-                    rows.append(row)
-                    if isinstance(row, np.ndarray):
-                        products[k] *= row
-            yield idx.take(keep), products
+            yield idx.take(keep), products.take(keep, 0)[:, : len(subsets)].T.copy()
 
     def mapping_at(self, index: int) -> Mapping:
         return self.table.mapping_from_bounds(self.bounds_at(index))

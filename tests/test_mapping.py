@@ -933,23 +933,29 @@ def test_factor_scan_agrees_across_each_tabulation_switch(case, seed):
     ev = LayerEvaluator(arch, layer)
     switches = _tabulation_switches(space, ev.plan)
     # draws of one index, just below, at and just above each dim's switch,
-    # and of the whole space where it is small
-    lengths = {1} | {n + d for n in switches.values() for d in (-1, 0, 1)}
+    # of one block and a one-index tail, and of the whole space where it is
+    # small
+    lengths = {1, SCAN_BLOCK + 1}
+    lengths |= {n + d for n in switches.values() for d in (-1, 0, 1)}
     if space.total <= 4 * SCAN_BLOCK:
         lengths.add(space.total)
-    tabulated: list = []
-    real = MappingSpace._factor_table
+    # the factor tables scan got, by dim number: None for a per-block dim
+    layouts: list = []
+    real = MappingSpace._scan_layout
     for t, n in enumerate(sorted(x for x in lengths if 1 <= x <= space.total)):
         drawn = space.draw_array(n, seed)
-        tabulated.clear()
+        layouts.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(
                 MappingSpace,
-                "_factor_table",
-                lambda self, j, *args: tabulated.append(j) or real(self, j, *args),
+                "_scan_layout",
+                lambda self, *args: layouts.append(real(self, *args)) or layouts[-1],
             )
             blocks = list(space.scan(drawn, ev.plan.subsets))
-        assert sorted(tabulated) == [j for j, at in switches.items() if n >= at]
+        [(tables, *_)] = layouts
+        assert len(tables) == len(space.radices)
+        tabulated = [j for j, table in enumerate(tables) if table is not None]
+        assert tabulated == [j for j, at in switches.items() if n >= at]
         kept = [i for idx, _ in blocks for i in idx.tolist()]
         assert kept == [i for i in drawn.tolist() if space.bounds_ok(space.bounds_at(i))]
         for idx, products in blocks:
@@ -1069,6 +1075,29 @@ def test_draw_array_is_draw_indices_in_the_scan_index_dtype(crossbar_arch, tiny_
     assert blocks == [
         (k.tolist(), p.tolist()) for k, p in space.scan(drawn.tolist(), plan.subsets)
     ]
+
+
+def test_scan_and_bounds_at_refuse_an_index_outside_the_space(crossbar_arch):
+    layer = parse_workload(read_fixture("workload_conv.yaml"))[1]
+    space = MappingSpace(crossbar_arch, layer)
+    assert space.total == 1_195_740
+    # the last index and the first decode; one past either end is refused,
+    # not wrapped to the other end or dropped by a numpy gather
+    last = space.bounds_at(space.total - 1)
+    assert space.bounds_at(np.int64(space.total - 1)) == last != space.bounds_at(0)
+    for index in (space.total, -1):
+        for at in (space.bounds_at, space.mapping_at):
+            with pytest.raises(MappingError, match=r"must lie in \[0, 1195740\)"):
+                at(index)
+        with pytest.raises(MappingError, match=r"scan indices must lie in \[0, "):
+            next(space.scan([0, index]))
+    with pytest.raises(MappingError, match="mapping index must be an integer"):
+        space.bounds_at(1.0)
+    [(kept, _)] = space.scan([0, space.total - 1])
+    assert kept.tolist() == [
+        i for i in (0, space.total - 1) if space.bounds_ok(space.bounds_at(i))
+    ]
+    assert list(space.scan([])) == []
 
 
 def test_mapping_space_refuses_a_dim_past_max_per_dim(crossbar_arch, monkeypatch):
