@@ -6,9 +6,10 @@ slice PMFs of each device line its encoding drives; valuemodel.line_levels
 decides the lines and slice_level the slices.  Data-value-dependent models
 consume distributions only.  The brute-force oracle prices concrete events
 through oracle_energy, which takes one int array per role (one entry per
-event) and returns one price per event; the cell and DAC run their per-value
-kernel once per distinct value.  The cell's model and oracle share only its
-physical maps (_cell_maps), not their sums.
+event, and the oracle passes one per distinct operand combination) and
+returns one price per entry, each a function of its own entry's values; the
+cell and DAC run their per-value kernel once per distinct value.  The cell's
+model and oracle share only its physical maps (_cell_maps), not their sums.
 
 Registered classes: reram_cell, sram_cell, dac, adc, buffer, adder, wire
 (router is an alias of wire).  DEFAULT_REGISTRY.register adds plug-ins keyed
@@ -203,8 +204,11 @@ class ComponentModel(ABC):
         """Energy of each of n actions given their concrete operand values.
 
         values maps one or more roles to int arrays of n entries, one per
-        event; the result is a float64 array of n prices.  Value-independent
-        models price every event at the average.
+        event; the result is a float64 array of n prices.  A price may
+        depend only on its own entry's values: the oracle passes each
+        distinct operand combination once and weights its price by the
+        number of events that carry it.  Value-independent models price
+        every event at the average.
         """
         return np.full(_event_count(values), self.energy_per_action(action, ctx))
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 from collections import abc
 from dataclasses import dataclass, field
@@ -419,10 +420,18 @@ def search(
     )
 
 
+def _check_int(what: str, value, low: int) -> None:
+    """Refuse a value that is not an integer >= low; a bool is not taken
+    for an integer."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise EngineError(f"{what} must be an integer, got {value!r}")
+    if value < low:
+        raise EngineError(f"{what} must be >= {low}, got {value}")
+
+
 def draw_tensors(layer: WorkloadLayer, seed: int) -> dict[str, np.ndarray]:
     """Seeded iid operand tensors shaped by each tensor's projection."""
-    if seed < 0:
-        raise EngineError(f"tensor draw seed must be >= 0, got {seed}")
+    _check_int("tensor draw seed", seed, 0)
     out: dict[str, np.ndarray] = {}
     sizes = layer.einsum.dim_sizes
     for offset, role in ((0, "Inputs"), (1, "Weights")):
@@ -433,6 +442,111 @@ def draw_tensors(layer: WorkloadLayer, seed: int) -> dict[str, np.ndarray]:
         vals = rng.choice(np.array(pmf.support), size=n, p=np.array(pmf.probs))
         out[role] = vals.reshape(shape) if shape else vals
     return out
+
+
+def _group_events(
+    ranks: dict[str, np.ndarray], levels: dict[str, np.ndarray]
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """The distinct operand combinations of n events and how many events
+    carry each.
+
+    ranks maps each role to its n events' ranks among levels[role], the
+    distinct values the role takes.  An event's code reads its ranks as a
+    mixed-radix number.  The codes are counted by one bincount when their
+    span is at most n and by np.unique otherwise, the rule
+    components._distinct_values applies to one role.  Returns each role's
+    values, one per combination in ascending code order, and the counts.
+    """
+    n = np.size(next(iter(ranks.values())))
+    code, span = None, 1
+    for role, r in ranks.items():
+        k = len(levels[role])
+        if code is None:
+            code = r.astype(np.intp)
+        else:
+            code *= k
+            code += r
+        span *= k
+    if span <= n:
+        counts = np.bincount(code)
+        combos = np.flatnonzero(counts)
+        counts = counts[combos]
+    else:
+        combos, counts = np.unique(code, return_counts=True)
+    picked = {}
+    for role in reversed(ranks):
+        k = len(levels[role])
+        picked[role] = levels[role][combos % k]
+        combos //= k
+    return {role: picked[role] for role in ranks}, counts
+
+
+# Veltkamp's splitter cuts a 53-bit significand into two 26-bit halves, and
+# a count is cut into 26-bit limbs, so Dekker's product of a limb and a
+# significand is exact: the rounded product plus its rounding error
+_SPLITTER = 2.0**27 + 1
+_LIMB_BITS = 26
+# below this no exact term, and no partial sum of them, can overflow
+_SAFE_SUM = 2.0**1020
+# prices split per block, so the split's arrays and float lists stay small
+_SUM_BLOCK = 4096
+
+
+def _exact_terms(prices: np.ndarray, counts: np.ndarray):
+    """Lists of floats whose exact sum is the sum of counts * prices.
+
+    Each product is taken on the significand and one limb of the count,
+    as Dekker's rounded product and its rounding error, both exact, and
+    scaled back by the exponent; a zero error (a count of one or a power
+    of two) adds no term.  All of it is exact while no term overflows.
+    """
+    for start in range(0, len(prices), _SUM_BLOCK):
+        significand, exponent = np.frexp(prices[start : start + _SUM_BLOCK])
+        left = counts[start : start + _SUM_BLOCK]
+        high = significand * _SPLITTER
+        high -= high - significand
+        low = significand - high
+        while left.any():
+            limb = (left & ((1 << _LIMB_BITS) - 1)).astype(np.float64)
+            product = limb * significand
+            error = limb * high
+            error -= product
+            error += limb * low
+            yield np.ldexp(product, exponent, out=product).tolist()
+            np.ldexp(error, exponent, out=error)
+            yield error[error != 0].tolist()
+            left = left >> _LIMB_BITS
+            exponent = exponent + _LIMB_BITS
+
+
+def _count_weighted_fsum(prices: np.ndarray, counts: np.ndarray) -> float:
+    """math.fsum over each price repeated its count times (counts >= 1),
+    without building that list.
+
+    One math.fsum over _exact_terms rounds the exact sum once.  A nan or
+    an infinity gives what math.fsum gives over the non-finite prices
+    (nan, the infinity, or ValueError for inf - inf), and a finite sum
+    that overflows raises OverflowError, as math.fsum does; a sum that
+    large is taken in fractions.
+    """
+    prices = np.asarray(prices, dtype=np.float64)
+    counts = np.asarray(counts, dtype=np.int64)
+    # at least the sum of |count * price|; nan when a price is nan
+    with np.errstate(over="ignore"):
+        bound = np.abs(prices).max() * counts.sum(dtype=np.float64)
+    if not bound < _SAFE_SUM:
+        finite = np.isfinite(prices)
+        if not finite.all():
+            return math.fsum(prices[~finite].tolist())
+        # imported here, since only a sum this large pays for the module
+        from fractions import Fraction
+
+        exact = sum(Fraction(p) * c for p, c in zip(prices.tolist(), counts.tolist()))
+        try:
+            return float(exact)
+        except OverflowError:
+            raise OverflowError("intermediate overflow in fsum") from None
+    return math.fsum(itertools.chain.from_iterable(_exact_terms(prices, counts)))
 
 
 def _first_events(keys: np.ndarray, key_range: int) -> np.ndarray:
@@ -482,13 +596,18 @@ def oracle_evaluate(
     broadcasting over the nest's shape, and the distinct ones are found by
     one pass over an array of the key range, which is never larger than
     the nest, not by a sort.  Value-dependent components price every event
-    on its own drawn operand values, through one oracle_energy array call
-    per stage (the cell and DAC find the distinct values by a bincount over
-    the value span, or np.unique when the span is wider than the events),
-    and each stage's prices are summed with math.fsum, which rounds the
-    exact sum once.  Other stages price at the average through the energy
-    table's own _pricer; the oracle reads no CountPlan or EnergyTable.
+    on its own drawn operand values: a stage groups its events by their
+    operand combination (_group_events) and prices each distinct
+    combination once, through one oracle_energy array call, so a price may
+    depend only on its own event's values.  The stage's energy is the exact
+    sum of count * price rounded once (_count_weighted_fsum), which is what
+    math.fsum gives over one price per event.  Other stages price at the
+    average through the energy table's own _pricer; the oracle reads no
+    CountPlan or EnergyTable.  A seed that is not an integer >= 0 and a
+    point limit that is not an integer >= 1 are refused before any work.
     """
+    _check_int("tensor draw seed", seed, 0)
+    _check_int("point limit", point_limit, 1)
     table = SlotTable(arch, layer)
     diag = check_valid(arch, layer, mapping, table)
     if not diag.ok:
@@ -549,8 +668,8 @@ def oracle_evaluate(
         weight, key_range = radix(ids)
         return _first_events(linear(weight), key_range)
 
-    def point_values(role: str) -> np.ndarray:
-        """The role's operand value at every nest point, in walk order.
+    def point_index(role: str) -> np.ndarray:
+        """The role's flat tensor index at every nest point, in walk order.
 
         A dim's coordinate folds its slots outer first, so the tensor's flat
         index is linear in the nest coordinates.
@@ -563,28 +682,35 @@ def oracle_evaluate(
         for d, stride in dim_stride.items():
             fold, _ = radix([sid for sid in nest_ids if slots[sid].dim == d])
             weight.update((sid, step * stride) for sid, step in fold.items())
-        return np.ravel(tensors[role])[linear(weight)]
+        return linear(weight)
 
-    operands = {"Inputs": point_values("Inputs"), "Weights": point_values("Weights")}
+    # each drawn tensor's distinct values, and every point's operand as its
+    # rank among them
+    levels, operands = {}, {}
+    for role in ("Inputs", "Weights"):
+        levels[role], ranks = np.unique(np.ravel(tensors[role]), return_inverse=True)
+        operands[role] = ranks[point_index(role)]
     counts: dict[tuple[str, str, str], int] = {}
 
-    def stage(name: str, tensor: str, action: str, n: int, values=None) -> float:
+    def stage(name: str, tensor: str, action: str, n: int, ranks=None) -> float:
         """Count n (tensor, action) events at node `name` and price them:
-        each on its own operands when `values` holds them, else at the
-        average, where n * p is the correctly rounded sum of n copies of p."""
+        on their own operands when `ranks` holds them, one price per
+        distinct combination, else at the average, where n * p is the
+        correctly rounded sum of n copies of p."""
         counts[(name, tensor, action)] = n
-        if values is None:
+        if ranks is None:
             return n * unit(name, action)
         m, ctx = model(name)
-        return math.fsum(m.oracle_energy(action, ctx, values).tolist())
+        combos, weights = _group_events(ranks, levels)
+        return _count_weighted_fsum(m.oracle_energy(action, ctx, combos), weights)
 
     def events(t: int, role: str, action: str, ids) -> float:
         """Node t's (role, action) stage, one event per distinct key over
         `ids`; a role with no drawn operands (Outputs) prices at the average."""
         name, first = nodes[t].name, first_events(ids)
         drawn = role in model(name)[0].value_dependent_on and role in operands
-        values = {role: operands[role][first]} if drawn else None
-        return stage(name, role, action, len(first), values)
+        ranks = {role: operands[role][first]} if drawn else None
+        return stage(name, role, action, len(first), ranks)
 
     # every point computes once, on its own operand pair
     leaf = nodes[leaf_i].name

@@ -1,18 +1,24 @@
 """Energy tables, full evaluation, search and the brute-force oracle."""
 
+import functools
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cimeval import cli, engine, valuemodel
 from cimeval.archspec import parse_arch, validate
 from cimeval.components import (
     AdcModel,
     ComponentError,
+    ComponentModel,
     DEFAULT_REGISTRY,
     DacModel,
+    MemoryCellModel,
     ModelRegistry,
 )
 from cimeval.engine import (
@@ -415,6 +421,34 @@ def test_oracle_rejects_inexact_nests(crossbar_arch, tiny_layer):
 def test_oracle_point_limit(crossbar_arch, tiny_layer, tiny_mapping):
     with pytest.raises(EngineError, match="oracle limit"):
         oracle_evaluate(crossbar_arch, tiny_layer, tiny_mapping, point_limit=2)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"seed": None}, "seed must be an integer, got None"),
+        ({"seed": "3"}, "seed must be an integer, got '3'"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"point_limit": None}, "point limit must be an integer, got None"),
+        ({"point_limit": 2.5}, "point limit must be an integer, got 2.5"),
+        ({"point_limit": 0}, "point limit must be >= 1, got 0"),
+        ({"point_limit": -1}, "point limit must be >= 1, got -1"),
+    ],
+)
+def test_oracle_refuses_a_bad_seed_or_point_limit_up_front(
+    monkeypatch, crossbar_arch, tiny_layer, tiny_mapping, kwargs, message
+):
+    def no_table(*args):
+        raise AssertionError("the slot table was built")
+
+    monkeypatch.setattr(engine, "SlotTable", no_table)
+    with pytest.raises(EngineError, match=f"^[a-z ]*{message}$"):
+        oracle_evaluate(crossbar_arch, tiny_layer, tiny_mapping, **kwargs)
+    if "seed" in kwargs:
+        with pytest.raises(EngineError, match=f"^[a-z ]*{message}$"):
+            draw_tensors(tiny_layer, kwargs["seed"])
 
 
 # differential 4-bit inputs in (3, 1) slices through a switching DAC, with
@@ -1168,3 +1202,158 @@ def test_evaluate_results_are_pinned_bit_for_bit(crossbar_arch, tiny_layer):
             priced += 1
     assert priced > 200
     assert h.hexdigest() == PINNED_EVALUATE
+
+
+def _fsum_outcome(fn):
+    """What fn returns, as a float's hex or 'nan', or the exception it raises."""
+    try:
+        got = fn()
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return "nan" if math.isnan(got) else got.hex()
+
+
+_PRICES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e-307, max_value=1e-307),
+    st.floats(min_value=0.5e300, max_value=2e300),
+    st.floats(min_value=-2e300, max_value=-0.5e300),
+)
+_COUNTS = st.one_of(
+    st.sampled_from([1, 2, 3, 2**26 - 1, 2**26, 2**26 + 1, 2**40]),
+    st.integers(1, 2**62),
+)
+
+
+@given(st.lists(st.tuples(_PRICES, _COUNTS), min_size=1, max_size=12))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_count_weighted_fsum_is_the_exact_sum_rounded_once(pairs):
+    prices = np.array([p for p, _ in pairs])
+    counts = np.array([c for _, c in pairs])
+    expected = _fsum_outcome(lambda: float(sum(Fraction(p) * c for p, c in pairs)))
+    got = _fsum_outcome(lambda: engine._count_weighted_fsum(prices, counts))
+    if expected[0] == "OverflowError":
+        assert got == ("OverflowError", "intermediate overflow in fsum")
+    else:
+        assert got == expected
+
+
+def test_count_weighted_fsum_is_exact_across_blocks():
+    rng = np.random.default_rng(7)
+    n = 2 * engine._SUM_BLOCK + 3
+    prices = rng.uniform(-1, 1, n) * 10.0 ** rng.integers(-320, 250, n)
+    counts = rng.choice([1, 2, 3, 2**26 - 1, 2**26, 2**40], n)
+    expected = float(sum(Fraction(p) * int(c) for p, c in zip(prices, counts)))
+    assert engine._count_weighted_fsum(prices, counts) == expected
+
+
+@pytest.mark.parametrize(
+    "prices, counts",
+    [
+        ([math.nan, 1.0], [1, 3]),
+        ([2.5, math.inf], [2, 2]),
+        ([-math.inf, 1e-300], [3, 1]),
+        ([math.inf, -math.inf], [1, 1]),
+        ([math.nan, math.inf, -math.inf], [1, 2, 1]),
+        ([1e308], [2]),
+        ([-1e308, 1.0], [3, 1]),
+        ([1.7e308, 1e308], [1, 1]),
+        ([1e308, -1e308], [1, 1]),
+    ],
+)
+def test_count_weighted_fsum_matches_fsum_where_it_is_not_finite(prices, counts):
+    expanded = [p for p, c in zip(prices, counts) for _ in range(c)]
+    got = _fsum_outcome(
+        lambda: engine._count_weighted_fsum(np.array(prices), np.array(counts))
+    )
+    assert got == _fsum_outcome(lambda: math.fsum(expanded))
+
+
+def _per_event_groups(ranks, levels):
+    """Every event its own combination, as the oracle priced them one by one."""
+    values = {role: levels[role][r] for role, r in ranks.items()}
+    return values, np.ones(np.size(next(iter(ranks.values()))), dtype=np.int64)
+
+
+def _record_calls(monkeypatch, cls, calls):
+    price = cls.oracle_energy
+
+    def recorded(self, action, ctx, values):
+        calls.append((cls.__name__, action, {r: v.tolist() for r, v in values.items()}))
+        return price(self, action, ctx, values)
+
+    monkeypatch.setattr(cls, "oracle_energy", recorded)
+
+
+# 48 MACs of 2-bit operands under the crossbar's 2x2 cell mesh: at most 16
+# operand pairs, so every value stage repeats combinations
+_REPEATS_MAPPING = Mapping.from_dict(
+    {
+        "buffer": [
+            Loop("M", 2, "temporal"),
+            Loop("K", 3, "temporal"),
+            Loop("N", 2, "temporal"),
+        ],
+        "cell": [Loop("M", 2, "spatialX"), Loop("K", 2, "spatialY")],
+    }
+)
+
+
+def test_oracle_prices_each_distinct_combination_once(monkeypatch, crossbar_arch):
+    layer = parse_workload(LAYER_M4_K6_N2)[0]
+    calls = []
+    for cls in (MemoryCellModel, DacModel):
+        _record_calls(monkeypatch, cls, calls)
+    grouped = oracle_evaluate(crossbar_arch, layer, _REPEATS_MAPPING, seed=2)
+    grouped_calls, calls[:] = list(calls), []
+    monkeypatch.setattr(engine, "_group_events", _per_event_groups)
+    per_event = oracle_evaluate(crossbar_arch, layer, _REPEATS_MAPPING, seed=2)
+
+    # one call per value stage, in the same order, on the distinct combinations
+    assert [c[:2] for c in grouped_calls] == [c[:2] for c in calls]
+    assert [c[:2] for c in calls] == [
+        ("MemoryCellModel", "compute"),
+        ("DacModel", "convert"),
+    ]
+    for (_, _, entries), (_, _, events) in zip(grouped_calls, calls):
+        assert list(entries) == list(events)
+        rows = list(zip(*entries.values()))
+        assert rows == sorted(set(zip(*events.values())))
+        assert len(rows) < len(events["Inputs"])
+    assert grouped.counts == per_event.counts == evaluate(
+        crossbar_arch, layer, _REPEATS_MAPPING
+    ).counts
+    assert grouped.energy_j == per_event.energy_j
+
+
+class _SquareLawDac(ComponentModel):
+    """A plug-in DAC whose conversion costs grow with the square of its input."""
+
+    value_dependent_on = frozenset({"Inputs"})
+
+    def energy_per_action(self, action, ctx):
+        return 3e-15
+
+    def oracle_energy(self, action, ctx, values):
+        x = values["Inputs"].astype(np.float64)
+        return 1e-15 * (x * x + 1.0 / 3.0)
+
+
+def test_a_plugin_price_is_summed_as_one_price_per_event(monkeypatch, crossbar_arch):
+    reg = ModelRegistry()
+    for name in ("buffer", "adder", "adc", "reram_cell"):
+        reg.register(name, DEFAULT_REGISTRY.get(name))
+    reg.register("dac", _SquareLawDac())
+    layer = parse_workload(LAYER_M4_K6_N2)[0]
+    calls = []
+    _record_calls(monkeypatch, _SquareLawDac, calls)
+    run = functools.partial(oracle_evaluate, crossbar_arch, layer, _REPEATS_MAPPING)
+    grouped = run(seed=4, registry=reg)
+    ((_, action, entries),) = calls
+    assert action == "convert" and entries["Inputs"] == sorted(set(entries["Inputs"]))
+    monkeypatch.setattr(engine, "_group_events", _per_event_groups)
+    per_event = run(seed=4, registry=reg)
+    assert len(calls) == 2 and len(calls[1][2]["Inputs"]) > len(entries["Inputs"])
+    assert grouped.energy_j == per_event.energy_j
+    default = run(seed=4)
+    assert grouped.energy_j != default.energy_j
