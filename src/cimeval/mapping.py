@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 import operator
 import random
+from bisect import bisect_right
+from collections.abc import Mapping as _Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -566,62 +568,191 @@ def _factorizations(
     tails: tuple[int | None, ...] | None = None,
     memo: dict | None = None,
     dtype=np.int64,
-    divisors: dict | None = None,
 ) -> np.ndarray:
     """All ordered k-tuples of positive ints whose product is n, as the rows
-    of a read-only (rows, k) array of ``dtype``.
+    of a read-only (rows, k) array of ``dtype``: _DimCounts's whole table.
 
     Rows come in ascending lexicographic order.  caps[j], when not None,
     bounds entry j; tails (k + 1 long), where tails[j] is not None, bounds
-    the product of entries j and after.  Both prune inside the recursion,
-    where the n left at depth j is that tail product, so the result is the
-    uncapped table filtered by the caps, in the same order.  memo caches
-    tables across calls that share it, which must pass one dtype; a cached
-    table may be returned to several callers, so every table is read-only.
-    divisors caches each n's sorted divisors the same way.
+    the product of entries j and after, so the result is the uncapped
+    table filtered by the caps, in the same order.  memo caches tables
+    across calls that share it, which must pass one dtype; a cached table
+    may be returned to several callers, so every table is read-only.
     """
-    if caps is None:
-        caps = (None,) * k
-    if tails is None:
-        tails = (None,) * (k + 1)
-    if memo is None:
-        memo = {}
-    if divisors is None:
-        divisors = {}
+    caps = (None,) * k if caps is None else caps
+    tails = (None,) * (k + 1) if tails is None else tails
+    memo = {} if memo is None else memo
     key = (n, caps, tails)
-    out = memo.get(key)
-    if out is not None:
-        return out
-    if tails[0] is not None and n > tails[0]:
-        out = np.empty((0, k), dtype)
-    elif k == 0:
-        out = np.empty((1 if n == 1 else 0, 0), dtype)
-    else:
-        # (d, first row, end row, suffix table) of each d with suffixes
-        parts = []
-        rows = 0
-        if k == 1:
-            ds = [n]
-        elif n in divisors:
-            ds = divisors[n]
-        else:
-            ds = divisors[n] = sorted(_divisors(n))
-        for d in ds:
-            if caps[0] is not None and d > caps[0]:
-                break
-            rest = _factorizations(
-                n // d, k - 1, caps[1:], tails[1:], memo, dtype, divisors
+    if key not in memo:
+        memo[key] = _DimCounts(_divisor_pairs(n), caps, tails, dtype, math.inf).table
+    return memo[key]
+
+
+def _divisor_pairs(n: int) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """n's sorted divisors, and for each divisor m its ascending divisors d,
+    each with the position of m // d among n's divisors."""
+    ds = sorted(_divisors(n))
+    at = {d: i for i, d in enumerate(ds)}
+    kids = [[(d, at[m // d]) for d in ds[: a + 1] if m % d == 0] for a, m in enumerate(ds)]
+    return ds, kids
+
+
+class _DimCounts:
+    """The ordered factorizations of n, given by its _divisor_pairs, into k
+    entries under caps and tails (as _factorizations takes them), held as
+    counts: row r of the table, in ascending lexicographic order, is
+    decoded on demand.
+
+    A state is the product the entries left must make, a divisor of n.
+    count[j][a] is the number of ways to fill entries j..k-1 with product
+    ds[a], built from the last entry to the first.  Counts are capped at
+    ``limit``: no count a row's decode reads exceeds the radix, so none of
+    them is capped while the radix is below the limit.
+
+    Entry j < k - 1 in state a may take the values d of its children, the
+    divisors with a nonzero count after them, in ascending order; a child
+    covers that many consecutive ranks of the state.  ``_segs[j][a]``
+    lists, per child, where its ranks end and (start, d, next state): a
+    rank picks the first child ending past it, by one bisect, and goes on
+    with the rank past that child's start.  The last entry takes what its
+    state has left, and a state of 1 leaves every later entry 1.
+    ``_flat[j]`` lays the children of all states end to end over one range
+    of ranks for the block decode, each with the offset that takes a rank
+    to the next entry's range (at entry k - 2, to the last entry's value).
+    """
+
+    def __init__(self, pairs, caps, tails, dtype, limit):
+        ds, kids = pairs
+        k = len(caps)
+        top = len(ds) - 1
+        self.k = k
+        self._ds = ds
+        self._dtype = dtype
+        # the entries past the last leave product 1, state 0
+        count = [int(tails[k] is None or tails[k] >= 1)] + [0] * top
+        if k:
+            cap, tail = caps[k - 1], tails[k - 1]
+            count = [
+                count[0] if (cap is None or m <= cap) and (tail is None or m <= tail) else 0
+                for m in ds
+            ]
+        segs, flat = [], []
+        after = ds
+        for j in range(k - 2, -1, -1):
+            cap, tail = caps[j], tails[j]
+            new = [0] * len(ds)
+            here: list = [None] * len(ds)
+            base = [0] * len(ds)
+            all_ends, values, shifts = [], [], []
+            off = 0
+            # entry 0 starts from n alone
+            for a in range(top if j == 0 else 0, top + 1):
+                base[a] = off
+                if tail is not None and ds[a] > tail:
+                    continue
+                ends, children, total = [], [], 0
+                for d, q in kids[a]:
+                    if cap is not None and d > cap:
+                        break
+                    c = count[q]
+                    if c:
+                        children.append((total, d, q))
+                        values.append(d)
+                        shifts.append(after[q] - off - total)
+                        total += c
+                        ends.append(total)
+                        all_ends.append(off + total)
+                if children:
+                    here[a] = (ends, children)
+                    new[a] = min(total, limit)
+                    off += total
+            count = new
+            after = base
+            segs.append(here)
+            flat.append((all_ends, values, shifts))
+        segs.reverse()
+        flat.reverse()
+        self._segs = segs
+        self._flat = flat
+        self.radix = count[top]
+
+    def walk(self, slot_ids: list[int]) -> tuple:
+        """How _decode_index writes this table's rows at slot_ids (k >= 1
+        of them): the radix, each slot but the last with its entry's
+        children, the last slot, the top state and the divisors."""
+        return (
+            self.radix,
+            tuple(zip(slot_ids, self._segs)),
+            slot_ids[-1],
+            len(self._ds) - 1,
+            self._ds,
+        )
+
+    @cached_property
+    def _arrays(self) -> list:
+        """flat as arrays: the ends in int64, the values and the last
+        entry's offsets in the table's dtype."""
+        last = len(self._flat) - 1
+        return [
+            (
+                np.array(ends, np.int64),
+                np.array(values, self._dtype),
+                np.array(shifts, self._dtype if j == last else np.int64),
             )
-            if len(rest):
-                parts.append((d, rows, rows + len(rest), rest))
-                rows += len(rest)
-        out = np.empty((rows, k), dtype)
-        for d, start, end, rest in parts:
-            out[start:end, 0] = d
-            out[start:end, 1:] = rest
-    out.flags.writeable = False
-    memo[key] = out
-    return out
+            for j, (ends, values, shifts) in enumerate(self._flat)
+        ]
+
+    def decode(self, ranks: np.ndarray) -> np.ndarray:
+        """Rows ``ranks`` as the columns of a (k, len(ranks)) array, one
+        searchsorted per entry but the last."""
+        out = np.empty((self.k, len(ranks)), self._dtype)
+        x = ranks
+        for j, (ends, values, shifts) in enumerate(self._arrays):
+            p = ends.searchsorted(x, "right")
+            out[j] = values.take(p)
+            x = x + shifts.take(p)
+        if self.k:
+            out[-1] = x if self._flat else self._ds[-1]
+        return out
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """The whole table's columns, decoded once and read-only."""
+        out = self.decode(np.arange(self.radix, dtype=np.int64))
+        out.flags.writeable = False
+        return out
+
+    @property
+    def table(self) -> np.ndarray:
+        """The whole (radix, k) table, read-only."""
+        return self.columns.T
+
+    def rows(self, ranks: np.ndarray, n: int) -> np.ndarray:
+        """Rows ``ranks`` as columns, for a caller that decodes n indices
+        in all: read from the whole table when the radix is at most n,
+        else decoded."""
+        if self.radix <= n:
+            return self.columns.take(ranks, 1)
+        return self.decode(ranks)
+
+
+def _decode_index(index: int, walks: list, bounds: list[int]) -> list[int]:
+    """Write the rows an index picks into bounds, which holds 1 at every
+    slot: the index is a mixed-radix number over the walks' tables (see
+    _DimCounts.walk), the first walk's digit varying fastest.  Each row is
+    decoded in Python with one bisect per slot."""
+    for radix, walk, last, top, ds in walks:
+        index, r = divmod(index, radix)
+        a = top
+        for sid, segs in walk:
+            if not a:
+                break
+            ends, children = segs[a]
+            start, bounds[sid], a = children[bisect_right(ends, r)]
+            r -= start
+        else:
+            bounds[last] = ds[a]
+    return bounds
 
 
 _TRIAL_LIMIT = 1 << 16
@@ -654,34 +785,52 @@ def _divisors(n: int) -> list[int]:
     return ds if n == 1 else ds + [d * n for d in ds]
 
 
-def _factors(choices: np.ndarray, bases: list, own: list) -> np.ndarray:
-    """(row, entry) factors of some rows of one dim's choices: the product
-    of each row's entries at each chain entry's slots of the dim, built
-    along the chain as CountPlan.products builds products over bounds.
-    Entry k extends entry bases[k] (None for none) by the choice columns
-    own[k].  Each row's factors are one row of the result, so a table built
-    over all of a dim's choices is gathered by copying rows."""
-    out = np.empty((len(own), len(choices)), choices.dtype)
+def _factors(columns: np.ndarray, bases: list, own: list) -> np.ndarray:
+    """(row, entry) factors of some rows of one dim's choices, given as the
+    columns of a (k, rows) array: the product of each row's entries at each
+    chain entry's slots of the dim, built along the chain as
+    CountPlan.products builds products over bounds.  Entry k extends entry
+    bases[k] (None for none) by the choice columns own[k].  Each row's
+    factors are one row of the result, so a table built over all of a dim's
+    choices is gathered by copying rows."""
+    out = np.empty((len(own), columns.shape[1]), columns.dtype)
     for k, (base, cols) in enumerate(zip(bases, own)):
         row = 1 if base is None else out[base]
         for pos in cols:
-            row = row * choices[:, pos]
+            row = row * columns[pos]
         out[k] = row
     return np.ascontiguousarray(out.T)
+
+
+class _Tables(_Mapping):
+    """dim -> its whole read-only table of choices, decoded on first access."""
+
+    def __init__(self, counts: dict):
+        self._counts = counts
+
+    def __getitem__(self, dim):
+        return self._counts[dim].table
+
+    def __iter__(self):
+        return iter(self._counts)
+
+    def __len__(self):
+        return len(self._counts)
 
 
 class MappingSpace:
     """Indexable space of exact-tiling mappings for one (arch, layer) pair.
 
     For each dim the factorizations of its size across the eligible slots
-    are tabulated, pruned while they are generated: spatial slots are
-    capped at their mesh axis, and each max_tile window caps a tail product
-    of the dim's slots.  A mapping index is a mixed-radix number over the
-    per-dim tables, so the space supports exhaustive iteration and seeded
-    uniform sampling without replacement.  ``table`` shares a slot table
-    (and its compiled rules) the caller already built for the same pair,
-    as search shares its LayerEvaluator's; one built for another pair is
-    refused.
+    are counted, not listed (see _DimCounts): spatial slots are capped at
+    their mesh axis, and each max_tile window caps a tail product of the
+    dim's slots.  The count is the dim's radix, so MAX_PER_DIM is checked
+    before any row is built.  A mapping index is a mixed-radix number over
+    the dims' choices, each decoded from its digit on demand, so the space
+    supports exhaustive iteration and seeded uniform sampling without
+    replacement.  ``table`` shares a slot table (and its compiled rules)
+    the caller already built for the same pair, as search shares its
+    LayerEvaluator's; one built for another pair is refused.
     """
 
     MAX_PER_DIM = 2_000_000
@@ -720,12 +869,12 @@ class MappingSpace:
         self._dtype = np.int64 if max(weight, 1) * macs < 2**63 else object
 
         self.dim_slots: dict[str, list[int]] = {}
-        self.dim_choices: dict[str, np.ndarray] = {}
-        # one table for this build: dims with equal sizes and slot caps
-        # (M and K of a square matvec) share their factorizations, and
-        # every dim the divisors of the sizes it reaches
+        counts: dict[str, _DimCounts] = {}
+        # one count table per key for this build: dims with equal sizes and
+        # slot caps (M and K of a square matvec) share it, and dims of one
+        # size the divisor pairs
         memo: dict = {}
-        divisors: dict = {}
+        pairs: dict = {}
         for cover in (r for r in rules if r.kind == "cover"):
             dim, size = cover.dim, cover.lo
             slot_ids = [i for i in cover.terms[0][0] if i not in fixed]
@@ -736,24 +885,38 @@ class MappingSpace:
             for r in tile_rules.get(dim, ()):
                 j = sum(sid not in r.terms[0][0] for sid in slot_ids)
                 tails[j] = r.hi if tails[j] is None else min(tails[j], r.hi)
-            choices = _factorizations(
-                size, len(slot_ids), caps, tuple(tails), memo, self._dtype, divisors
-            )
-            if len(choices) > self.MAX_PER_DIM:
+            key = (size, caps, tuple(tails))
+            if key not in memo:
+                if size not in pairs:
+                    pairs[size] = _divisor_pairs(size)
+                memo[key] = _DimCounts(
+                    pairs[size], caps, key[2], self._dtype, self.MAX_PER_DIM + 1
+                )
+            if memo[key].radix > self.MAX_PER_DIM:
                 raise MappingError(
                     f"mapping space for dim {dim!r} exceeds "
                     f"{self.MAX_PER_DIM} factorizations"
                 )
             self.dim_slots[dim] = slot_ids
-            self.dim_choices[dim] = choices
+            counts[dim] = memo[key]
+        self._counts = [counts[d] for d, _ in self.table.dims]
+        #: dim -> its whole read-only (choices, slots) table, decoded on
+        #: first access; the space itself decodes rows as it needs them
+        self.dim_choices = _Tables(counts)
         # per slot id: (dim number, column in the dim's choices), or None
         # for a slot no dim varies, which stays 1
         self._slot_pos: list = [None] * len(self.table)
         for j, (dim, _) in enumerate(self.table.dims):
             for pos, i in enumerate(self.dim_slots[dim]):
                 self._slot_pos[i] = (j, pos)
-        self.radices = [len(self.dim_choices[d]) for d, _ in self.table.dims]
+        self.radices = [c.radix for c in self._counts]
         self.total = math.prod(self.radices)
+        # bounds_at's walks, dims last first as the last digit varies fastest
+        self._walks = [
+            c.walk(self.dim_slots[dim])
+            for (dim, _), c in zip(self.table.dims[::-1], self._counts[::-1])
+            if self.dim_slots[dim]
+        ]
 
     def bounds_ok(self, bounds: list[int]) -> bool:
         """check_valid's verdict on bounds this space generated."""
@@ -771,12 +934,17 @@ class MappingSpace:
         digits.append(rem.astype(np.intp, copy=False))
         return digits[::-1]
 
-    def _columns(self, idx: np.ndarray) -> np.ndarray:
+    def _columns(self, idx: np.ndarray, n: int | None = None) -> np.ndarray:
         """Bounds columns of the indices: ``cols[s]`` holds slot s's bound
-        of each; slots no dim varies are 1."""
+        of each; slots no dim varies are 1.  n is how many indices the
+        caller decodes in all (len(idx) by default), which says where each
+        dim's rows come from (see _DimCounts.rows)."""
+        n = len(idx) if n is None else n
         cols = np.ones((len(self.table), len(idx)), self._dtype)
-        for (dim, _), digit in zip(self.table.dims, self._digits(idx)):
-            cols[self.dim_slots[dim]] = self.dim_choices[dim].take(digit, 0).T
+        for (dim, _), digit, counts in zip(
+            self.table.dims, self._digits(idx), self._counts
+        ):
+            cols[self.dim_slots[dim]] = counts.rows(digit, n)
         return cols
 
     def bounds_at(self, index: int) -> list[int]:
@@ -792,23 +960,20 @@ class MappingSpace:
             raise MappingError(
                 f"mapping index must lie in [0, {self.total}), got {index}"
             )
-        bounds = [1] * len(self.table)
-        for (dim, _), radix in zip(self.table.dims[::-1], self.radices[::-1]):
-            index, digit = divmod(index, radix)
-            for i, b in zip(self.dim_slots[dim], self.dim_choices[dim][digit].tolist()):
-                bounds[i] = b
-        return bounds
+        return _decode_index(index, self._walks, [1] * len(self.table))
 
     def _scan_layout(self, subsets, n: int):
         """How a scan of n indices prices ``subsets`` and the residual rules.
 
         The chain is the subsets, then each rule term as a product from
         scratch.  A dim is tabulated when radix * m + n * s < n * m, for m
-        multiplies on its slots along the chain and s chain entries.
-        Returns, by dim number, the dim's factor table (None for a dim whose
-        factors are built per block), the chain's bases, each dim's choice
-        columns per entry (see _factors), and each rule as (lo, hi, (entry,
-        weight) per term).
+        multiplies on its slots along the chain and s chain entries; its
+        radix is then below n, so its factor table is built over its whole
+        table of choices, which draws of n indices read anyway (see
+        _DimCounts.rows).  Returns, by dim number, the dim's factor table
+        (None for a dim whose factors are built per block), the chain's
+        bases, each dim's choice columns per entry (see _factors), and each
+        rule as (lo, hi, (entry, weight) per term).
         """
         terms = [(None, ids) for r in self._residual for ids, _ in r.terms]
         chain = [*subsets, *terms]
@@ -822,10 +987,10 @@ class MappingSpace:
         s = len(chain)
         bases = [base for base, _ in chain]
         tables = []
-        for (dim, _), radix, mine in zip(self.table.dims, self.radices, own):
+        for counts, mine in zip(self._counts, own):
             m = sum(map(len, mine))
-            if radix * m + n * s < n * m:
-                tables.append(_factors(self.dim_choices[dim], bases, mine))
+            if counts.radix * m + n * s < n * m:
+                tables.append(_factors(counts.columns, bases, mine))
             else:
                 tables.append(None)
         entry = iter(range(len(subsets), s))
@@ -849,10 +1014,13 @@ class MappingSpace:
         for any rows of a dim's choices.  A dim is tabulated, its factors
         built once for every choice and gathered by each index's digit, when
         that is less work than building them from each block's chosen rows
-        (see _scan_layout).  Either way each block multiplies one (index,
-        entry) factor matrix per dim, checks the rules on its columns and
-        keeps the subsets' columns of the kept indices.  The products are
-        exact integers in the space's dtype.
+        (see _scan_layout).  A dim that is not has each block's rows read
+        from its whole table when its radix is at most the number of indices
+        scanned, and decoded from the block's digits otherwise.  Either way
+        each block multiplies one (index, entry) factor matrix per dim,
+        checks the rules on its columns and keeps the subsets' columns of
+        the kept indices.  The products are exact integers in the space's
+        dtype.
         """
         indices = np.asarray(indices, _index_dtype(self.total))
         if len(indices):
@@ -861,16 +1029,16 @@ class MappingSpace:
                 raise MappingError(
                     f"scan indices must lie in [0, {self.total}), got {low} to {high}"
                 )
-        tables, bases, own, checks = self._scan_layout(subsets, len(indices))
-        choices = [self.dim_choices[dim] for dim, _ in self.table.dims]
-        for start in range(0, len(indices), SCAN_BLOCK):
+        n = len(indices)
+        tables, bases, own, checks = self._scan_layout(subsets, n)
+        for start in range(0, n, SCAN_BLOCK):
             idx = indices[start : start + SCAN_BLOCK]
             factors = (
-                _factors(rows.take(digit, 0), bases, mine)
+                _factors(counts.rows(digit, n), bases, mine)
                 if table is None
                 else table.take(digit, 0)
-                for digit, table, rows, mine in zip(
-                    self._digits(idx), tables, choices, own
+                for digit, table, counts, mine in zip(
+                    self._digits(idx), tables, self._counts, own
                 )
             )
             # every layer has a dim, and each factor matrix is a new array
@@ -1002,10 +1170,13 @@ def enumerate_mappings(
     pair, such as a LayerEvaluator's ``slot_table``."""
     _check_draw(budget, seed)
     space = MappingSpace(arch, layer, table)
+    drawn = space.draw_array(budget, seed)
     return (
         (idx, space.table.mapping_from_bounds(bounds))
-        for kept, _ in space.scan(space.draw_array(budget, seed))
-        for idx, bounds in zip(kept.tolist(), space._columns(kept).T.tolist())
+        for kept, _ in space.scan(drawn)
+        for idx, bounds in zip(
+            kept.tolist(), space._columns(kept, len(drawn)).T.tolist()
+        )
     )
 
 

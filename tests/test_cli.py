@@ -1037,6 +1037,22 @@ def test_search_refuses_a_dim_past_max_per_dim(monkeypatch, capsys):
     assert "exceeds 100 factorizations" in err[0] and captured.out == ""
 
 
+def test_search_refuses_a_dim_past_the_real_max_per_dim(tmp_path, capsys):
+    # 2**120 is refused from its count of placements, before any is listed
+    wl = tmp_path / "huge.yaml"
+    wl.write_text(read_fixture("workload_tiny.yaml").replace(
+        "{M: 2, K: 2}", f"{{M: {2**120}, K: 2}}"))
+    argv = ["search", "--arch", ARCH, "--workload", str(wl), "--budget", "20"]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 5.0
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert f"exceeds {MappingSpace.MAX_PER_DIM} factorizations" in err[0]
+    assert captured.out == ""
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main([])

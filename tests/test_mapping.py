@@ -12,6 +12,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,9 @@ from cimeval.mapping import (
     MappingSpace,
     Slot,
     SlotTable,
+    _DimCounts,
+    _decode_index,
+    _divisor_pairs,
     _divisors,
     _factorizations,
     _sample_sorted,
@@ -565,6 +569,66 @@ def test_capped_factorizations_filter_the_uncapped_list(n, caps, other_caps, dat
         assert got == expected
 
 
+def _ordered_factorizations(n: int, k: int):
+    """Every ordered k-tuple of positive ints with product n, ascending."""
+    if k == 0:
+        if n == 1:
+            yield ()
+        return
+    for d in range(1, n + 1):
+        if n % d == 0:
+            for rest in _ordered_factorizations(n // d, k - 1):
+                yield (d, *rest)
+
+
+@given(
+    st.integers(1, 4096),
+    st.lists(st.one_of(st.none(), st.integers(1, 128)), max_size=5),
+    st.sampled_from([np.int64, object]),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_count_table_decodes_the_filtered_table(n, caps, dtype, data):
+    k = len(caps)
+    tails = data.draw(
+        st.lists(
+            st.one_of(st.none(), st.integers(0, 256)), min_size=k + 1, max_size=k + 1
+        )
+    )
+    uncapped = list(_ordered_factorizations(n, k))
+    assert _rows(_factorizations(n, k)) == uncapped
+    expected = [
+        fac
+        for fac in uncapped
+        if all(c is None or b <= c for b, c in zip(fac, caps))
+        and all(t is None or math.prod(fac[j:]) <= t for j, t in enumerate(tails))
+    ]
+    pairs = _divisor_pairs(n)
+    counts = _DimCounts(pairs, tuple(caps), tuple(tails), dtype, math.inf)
+    assert counts.radix == len(expected)
+    assert counts.table.dtype == dtype and _rows(counts.table) == expected
+    assert not counts.columns.flags.writeable
+    # a count capped at the limit still says whether the table passes it
+    limit = data.draw(st.integers(1, len(expected) + 2))
+    capped = _DimCounts(pairs, tuple(caps), tuple(tails), dtype, limit)
+    assert capped.radix == min(len(expected), limit)
+    if not expected:
+        return
+    ranks = data.draw(st.lists(st.integers(0, len(expected) - 1), max_size=40))
+    block = counts.decode(np.array(ranks, np.int64))
+    assert block.dtype == dtype and block.shape == (k, len(ranks))
+    assert [tuple(c) for c in block.T.tolist()] == [expected[r] for r in ranks]
+    # the scalar walk, alone, and as the fast digit under the capped
+    # table's, which is exact below its limit
+    if k and len(expected) < limit:
+        walks = [counts.walk(list(range(k))), capped.walk(list(range(k, 2 * k)))]
+        for r, s in zip(ranks, ranks[::-1]):
+            alone = _decode_index(r, walks[:1], [1] * k)
+            assert alone == list(expected[r])
+            both = _decode_index(r + len(expected) * s, walks, [1] * (2 * k))
+            assert both == [*expected[r], *expected[s]]
+
+
 def _filtered_dim_choices(space):
     """Each dim's mesh-capped factorizations, and the ones among them that
     pass every max_tile window of the dim, checked by the slots the window
@@ -976,6 +1040,40 @@ def test_factor_scan_agrees_across_each_tabulation_switch(case, seed):
         assert not kept
 
 
+@pytest.mark.parametrize("case", list(SWITCH_CASES))
+@given(seed=st.integers(0, 2**32))
+@settings(max_examples=2, deadline=None)
+def test_scan_reads_whole_tables_up_to_the_draw_size(case, seed):
+    arch_text, layer_text, k = SWITCH_CASES[case]
+    if arch_text == "crossbar":
+        arch_text = read_fixture("arch_crossbar.yaml")
+    if layer_text == "conv":
+        layer_text = read_fixture("workload_conv.yaml")
+    arch = parse_arch(arch_text)
+    layer = parse_workload(layer_text)[k]
+    plan = LayerEvaluator(arch, layer).plan
+    total = MappingSpace(arch, layer).total
+    # draws just below, at and just above each dim's radix: a dim reads its
+    # rows from its whole table when its radix is at most the draw size,
+    # and decodes each block's rows otherwise
+    radices = MappingSpace(arch, layer).radices
+    lengths = {r + d for r in radices for d in (-1, 0, 1)}
+    for n in sorted(x for x in lengths if 1 <= x <= total):
+        space = MappingSpace(arch, layer)
+        drawn = space.draw_array(n, seed)
+        blocks = list(space.scan(drawn, plan.subsets))
+        whole = ["columns" in vars(c) for c in space._counts]
+        assert whole == [r <= len(drawn) for r in space.radices]
+        kept = [i for idx, _ in blocks for i in idx.tolist()]
+        assert kept == [i for i in drawn.tolist() if space.bounds_ok(space.bounds_at(i))]
+        for idx, products in blocks:
+            bounds = [space.bounds_at(i) for i in idx.tolist()]
+            assert products.T.tolist() == [plan.products(b) for b in bounds]
+            # enumerate_mappings decodes the kept indices by the draw's size
+            assert space._columns(idx, len(drawn)).T.tolist() == bounds
+            assert space._columns(idx).T.tolist() == bounds
+
+
 # (workload, layer number) of the priced objective test; the primes layer
 # scans in Python-int object blocks
 PRICED_CASES = {"conv3x3": ("conv", 0), "fc": ("conv", 1), "primes": (PRIMES, 0)}
@@ -1108,6 +1206,21 @@ def test_mapping_space_refuses_a_dim_past_max_per_dim(crossbar_arch, monkeypatch
         MappingSpace(crossbar_arch, layer)
     monkeypatch.setattr(MappingSpace, "MAX_PER_DIM", 532)
     assert MappingSpace(crossbar_arch, layer).radices[:2] == [532, 532]
+
+
+def test_an_oversized_dim_is_refused_from_its_count(crossbar_arch):
+    # 2**120 has 121 divisors but 36,321,901 placements on the crossbar's
+    # slots; counting them holds one count per divisor and slot, where a
+    # table of them would hold every placement
+    layer = parse_workload(_matvec(2**120, 2))[0]
+    tracemalloc.start()
+    try:
+        with pytest.raises(MappingError, match="dim 'M' exceeds 2000000 factorizations"):
+            MappingSpace(crossbar_arch, layer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def test_mapper_config_rejects_an_unknown_objective_and_a_bool_budget():
